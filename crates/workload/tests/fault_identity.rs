@@ -11,11 +11,14 @@
 //!
 //! An *active* plan, in turn, must stay a pure function of its inputs:
 //! the same `(config, seed, plan)` triple serialises to identical JSONL
-//! on every run.
+//! on every run, and the lossy and chaos captures are pinned the same way
+//! as the fault-free one, fault counters included.
 
 use dropbox::client::ClientVersion;
 use nettrace::FlowRecord;
-use workload::{simulate_vantage, FaultPlan, SimOutput, VantageConfig, VantageKind};
+use workload::{
+    simulate_vantage, FaultPlan, FaultStats, OutageKnobs, SimOutput, VantageConfig, VantageKind,
+};
 
 fn run(kind: VantageKind, plan: &FaultPlan) -> SimOutput {
     let mut config = VantageConfig::paper(kind, 0.02);
@@ -74,4 +77,47 @@ fn lossy_plan_is_deterministic_down_to_the_serialised_bytes() {
         "faulty runs must serialise identically"
     );
     assert!(a.fault_stats.sync_retries > 0 || a.fault_stats.aborted_flows > 0);
+}
+
+#[test]
+fn lossy_plan_reproduces_the_pinned_capture() {
+    let campus = run(VantageKind::Campus1, &FaultPlan::lossy(7, 7));
+    assert_eq!(campus.dataset.flows.len(), 853);
+    let bytes: u64 = campus.dataset.flows.iter().map(|f| f.total_bytes()).sum();
+    assert_eq!(bytes, 26_200_295_453);
+    assert_eq!(digest(&campus.dataset.flows), 0x84089b3e0268c488);
+    assert_eq!(
+        campus.fault_stats,
+        FaultStats {
+            sync_retries: 32,
+            aborted_flows: 32,
+            notify_aborts: 7,
+            reconnect_attempts: 0,
+            reconnects: 0,
+            fallback_polls: 0,
+            offline_commits: 0,
+        }
+    );
+}
+
+#[test]
+fn chaos_plan_reproduces_the_pinned_capture() {
+    let plan = FaultPlan::chaos(7, 7, &OutageKnobs::default());
+    let campus = run(VantageKind::Campus1, &plan);
+    assert_eq!(campus.dataset.flows.len(), 873);
+    let bytes: u64 = campus.dataset.flows.iter().map(|f| f.total_bytes()).sum();
+    assert_eq!(bytes, 26_194_939_692);
+    assert_eq!(digest(&campus.dataset.flows), 0xd6b1daf45b79f67d);
+    assert_eq!(
+        campus.fault_stats,
+        FaultStats {
+            sync_retries: 24,
+            aborted_flows: 22,
+            notify_aborts: 12,
+            reconnect_attempts: 20,
+            reconnects: 3,
+            fallback_polls: 9,
+            offline_commits: 1,
+        }
+    );
 }
