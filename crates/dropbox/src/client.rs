@@ -139,9 +139,9 @@ impl RetryPolicy {
     }
 }
 
-/// Flows produced by a fault-aware transaction, each with the offset from
-/// the transaction start at which it should be played, plus recovery
-/// counters for the run's fault statistics.
+/// Flows produced by a sync transaction, each with the offset from the
+/// transaction start at which it should be played, plus recovery counters
+/// for the run's fault statistics (all zero under an inactive plan).
 #[derive(Debug, Default)]
 pub struct RecoveryOutcome {
     /// `(offset, flow)` pairs in play order; offsets accumulate backoffs.
@@ -271,33 +271,76 @@ impl<'a> SyncEngine<'a> {
         ]
     }
 
-    /// Build the flows of one *upload* synchronisation transaction.
-    ///
-    /// `chunks` are the chunk versions the client wants to commit. The
-    /// meta-data side answers `need_blocks` (deduplicated against the
-    /// global store); only the missing chunks are uploaded, in transactions
-    /// of at most 100 chunks, each on its own storage connection. Returns
-    /// the control and storage flows in order. The chunks are inserted
-    /// into the store (they are on the wire; arrival is certain in-model).
+    /// Build the flows of one *upload* synchronisation transaction on a
+    /// fault-free network; [`SyncEngine::upload_with_recovery`] with
+    /// [`FaultPlan::none`], flows in play order.
     pub fn upload_transaction(
         &mut self,
         chunks: &[ChunkWork],
         day: u32,
         rng: &mut Rng,
-        mut trace: Option<&mut ProtocolTrace>,
+        trace: Option<&mut ProtocolTrace>,
         trace_t0: SimTime,
     ) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
+        let (plan, policy) = (FaultPlan::none(), RetryPolicy::default());
+        let out = self.upload_with_recovery(chunks, day, trace_t0, &plan, &policy, rng, trace);
+        out.flows.into_iter().map(|(_, flow)| flow).collect()
+    }
+
+    /// Build the flows of one *upload* synchronisation transaction
+    /// starting at `at`.
+    ///
+    /// `chunks` are the chunk versions the client wants to commit. The
+    /// meta-data side answers `need_blocks` (deduplicated against the
+    /// global store); only the missing chunks are uploaded, in transactions
+    /// of at most 100 chunks, each on its own storage connection, and
+    /// inserted into the store once on the wire.
+    ///
+    /// Under an active `plan` the client backs off while the servers are
+    /// inside an outage window, storage connections may be cut
+    /// mid-transfer by the plan's reset probability, and after every cut
+    /// the client *resumes*: chunks whose store operation was fully
+    /// acknowledged before the reset are committed and only the
+    /// uncommitted remainder is re-offered on a fresh connection. Flow
+    /// offsets accumulate the backoff delays. An inactive plan draws no
+    /// randomness here, so every offset is zero.
+    ///
+    /// `trace`, when given, records the protocol commands of the
+    /// successful exchanges (the commit, every completed store, the close).
+    #[allow(clippy::too_many_arguments)]
+    pub fn upload_with_recovery(
+        &mut self,
+        chunks: &[ChunkWork],
+        day: u32,
+        at: SimTime,
+        plan: &FaultPlan,
+        policy: &RetryPolicy,
+        rng: &mut Rng,
+        mut trace: Option<&mut ProtocolTrace>,
+    ) -> RecoveryOutcome {
+        let mut out = RecoveryOutcome::default();
         if chunks.is_empty() {
-            return flows;
+            return out;
+        }
+        let mut offset = SimDuration::ZERO;
+        let commit_req = 400 + 70 * chunks.len() as u32;
+
+        // Outage windows: each refused commit is a short error exchange
+        // (the 5xx answer), then the client backs off and retries.
+        let mut attempt = 0u32;
+        while attempt < policy.max_attempts && !plan.server_available(at + offset) {
+            out.flows
+                .push((offset, self.control_flow(true, &[(commit_req, 120)], rng)));
+            out.retries += 1;
+            offset += policy.backoff(attempt, rng);
+            attempt += 1;
         }
 
-        // commit_batch on the meta side; response sized by the hash list.
+        // commit_batch → need_blocks, deduplicated against the store.
         let all_ids: Vec<(ChunkId, u64)> = chunks.iter().map(|c| (c.id, c.raw_bytes)).collect();
-        let commit_req = 400 + 70 * chunks.len() as u32;
         if let Some(t) = trace.as_deref_mut() {
             t.record(
-                trace_t0,
+                at + offset,
                 Sender::Client,
                 Command::CommitBatch {
                     hashes: all_ids.iter().map(|&(id, _)| id).collect(),
@@ -307,7 +350,7 @@ impl<'a> SyncEngine<'a> {
         let needed_ids = self.need_blocks(&all_ids);
         if let Some(t) = trace.as_deref_mut() {
             t.record(
-                trace_t0,
+                at + offset,
                 Sender::Server,
                 Command::NeedBlocks {
                     hashes: needed_ids.clone(),
@@ -315,28 +358,57 @@ impl<'a> SyncEngine<'a> {
             );
         }
         let need_resp = 200 + 70 * needed_ids.len() as u32;
-        flows.push(self.control_flow(true, &[(commit_req, need_resp)], rng));
+        out.flows.push((
+            offset,
+            self.control_flow(true, &[(commit_req, need_resp)], rng),
+        ));
 
-        let needed: Vec<ChunkWork> = chunks
+        let mut remaining: Vec<ChunkWork> = chunks
             .iter()
             .filter(|c| needed_ids.contains(&c.id))
             .copied()
             .collect();
 
-        for batch in needed.chunks(Command::MAX_CHUNKS_PER_BATCH) {
-            flows.push(self.store_flow(batch, day, rng, trace.as_deref_mut(), trace_t0));
-            for c in batch {
-                self.store.put(c.id, c.raw_bytes);
+        let mut attempt = 0u32;
+        while !remaining.is_empty() {
+            let batch_len = remaining.len().min(Command::MAX_CHUNKS_PER_BATCH);
+            let batch: Vec<ChunkWork> = remaining[..batch_len].to_vec();
+            let abort =
+                attempt < policy.max_attempts && plan.reset_p > 0.0 && rng.chance(plan.reset_p);
+            if abort {
+                let (spec, committed) = self.store_flow_aborted(&batch, day, rng);
+                for c in &committed {
+                    self.store.put(c.id, c.raw_bytes);
+                }
+                remaining.retain(|c| !committed.iter().any(|k| k.id == c.id));
+                out.flows.push((offset, spec));
+                out.aborted_flows += 1;
+                out.retries += 1;
+                offset += policy.backoff(attempt, rng);
+                attempt += 1;
+                // Resume: re-offer only the uncommitted chunks. The server
+                // answer sizes like a need_blocks over the remainder.
+                let reoffer_resp = 200 + 70 * remaining.len() as u32;
+                out.flows
+                    .push((offset, self.control_flow(true, &[(260, reoffer_resp)], rng)));
+            } else {
+                let spec = self.store_flow(&batch, day, rng, trace.as_deref_mut(), at + offset);
+                for c in &batch {
+                    self.store.put(c.id, c.raw_bytes);
+                }
+                remaining.drain(..batch_len);
+                out.flows.push((offset, spec));
             }
         }
 
         // close_changeset back on the meta side.
         if let Some(t) = trace {
-            t.record(trace_t0, Sender::Client, Command::CloseChangeset);
-            t.record(trace_t0, Sender::Server, Command::Ok);
+            t.record(at + offset, Sender::Client, Command::CloseChangeset);
+            t.record(at + offset, Sender::Server, Command::Ok);
         }
-        flows.push(self.control_flow(true, &[(260, 180)], rng));
-        flows
+        out.flows
+            .push((offset, self.control_flow(true, &[(260, 180)], rng)));
+        out
     }
 
     /// One storage connection uploading a batch (≤ 100 chunks). Public so
@@ -407,93 +479,6 @@ impl<'a> SyncEngine<'a> {
         }
     }
 
-    /// Fault-aware counterpart of [`SyncEngine::upload_transaction`]: the
-    /// client backs off while the servers are inside an outage window,
-    /// storage connections may be cut mid-transfer by the plan's reset
-    /// probability, and after every cut the client *resumes*: chunks whose
-    /// store operation was fully acknowledged before the reset are
-    /// committed and only the uncommitted remainder is re-offered on a
-    /// fresh connection. Flow offsets accumulate the backoff delays.
-    pub fn upload_transaction_faulty(
-        &mut self,
-        chunks: &[ChunkWork],
-        day: u32,
-        at: SimTime,
-        plan: &FaultPlan,
-        policy: &RetryPolicy,
-        rng: &mut Rng,
-    ) -> RecoveryOutcome {
-        let mut out = RecoveryOutcome::default();
-        if chunks.is_empty() {
-            return out;
-        }
-        let mut offset = SimDuration::ZERO;
-        let commit_req = 400 + 70 * chunks.len() as u32;
-
-        // Outage windows: each refused commit is a short error exchange
-        // (the 5xx answer), then the client backs off and retries.
-        let mut attempt = 0u32;
-        while attempt < policy.max_attempts && !plan.server_available(at + offset) {
-            out.flows
-                .push((offset, self.control_flow(true, &[(commit_req, 120)], rng)));
-            out.retries += 1;
-            offset += policy.backoff(attempt, rng);
-            attempt += 1;
-        }
-
-        // commit_batch → need_blocks, deduplicated against the store.
-        let all_ids: Vec<(ChunkId, u64)> = chunks.iter().map(|c| (c.id, c.raw_bytes)).collect();
-        let needed_ids = self.need_blocks(&all_ids);
-        let need_resp = 200 + 70 * needed_ids.len() as u32;
-        out.flows.push((
-            offset,
-            self.control_flow(true, &[(commit_req, need_resp)], rng),
-        ));
-
-        let mut remaining: Vec<ChunkWork> = chunks
-            .iter()
-            .filter(|c| needed_ids.contains(&c.id))
-            .copied()
-            .collect();
-
-        let mut attempt = 0u32;
-        while !remaining.is_empty() {
-            let batch_len = remaining.len().min(Command::MAX_CHUNKS_PER_BATCH);
-            let batch: Vec<ChunkWork> = remaining[..batch_len].to_vec();
-            let abort =
-                attempt < policy.max_attempts && plan.reset_p > 0.0 && rng.chance(plan.reset_p);
-            if abort {
-                let (spec, committed) = self.store_flow_aborted(&batch, day, rng);
-                for c in &committed {
-                    self.store.put(c.id, c.raw_bytes);
-                }
-                remaining.retain(|c| !committed.iter().any(|k| k.id == c.id));
-                out.flows.push((offset, spec));
-                out.aborted_flows += 1;
-                out.retries += 1;
-                offset += policy.backoff(attempt, rng);
-                attempt += 1;
-                // Resume: re-offer only the uncommitted chunks. The server
-                // answer sizes like a need_blocks over the remainder.
-                let reoffer_resp = 200 + 70 * remaining.len() as u32;
-                out.flows
-                    .push((offset, self.control_flow(true, &[(260, reoffer_resp)], rng)));
-            } else {
-                let spec = self.store_flow(&batch, day, rng, None, SimTime::EPOCH);
-                for c in &batch {
-                    self.store.put(c.id, c.raw_bytes);
-                }
-                remaining.drain(..batch_len);
-                out.flows.push((offset, spec));
-            }
-        }
-
-        // close_changeset back on the meta side.
-        out.flows
-            .push((offset, self.control_flow(true, &[(260, 180)], rng)));
-        out
-    }
-
     /// A store connection that an injected fault cuts mid-transfer.
     ///
     /// The reset lands inside a uniformly-chosen transfer group: every
@@ -546,11 +531,37 @@ impl<'a> SyncEngine<'a> {
         (spec, committed)
     }
 
-    /// Fault-aware counterpart of [`SyncEngine::download_transaction`]:
+    /// Build the flows of one *download* synchronisation transaction on a
+    /// fault-free network; [`SyncEngine::download_with_recovery`] with
+    /// [`FaultPlan::none`], flows in play order.
+    pub fn download_transaction(
+        &mut self,
+        chunks: &[ChunkWork],
+        day: u32,
+        rng: &mut Rng,
+        trace: Option<&mut ProtocolTrace>,
+        trace_t0: SimTime,
+    ) -> Vec<FlowSpec> {
+        let (plan, policy) = (FaultPlan::none(), RetryPolicy::default());
+        let out = self.download_with_recovery(chunks, day, trace_t0, &plan, &policy, rng, trace);
+        out.flows.into_iter().map(|(_, flow)| flow).collect()
+    }
+
+    /// Build the flows of one *download* synchronisation transaction
+    /// starting at `at` (after `list` reported remote changes). Chunks are
+    /// fetched in transactions of at most 100, each on its own storage
+    /// connection.
+    ///
+    /// Under an active `plan` the `list` waits out outage windows, and
     /// retrieve connections may be cut mid-transfer, in which case the
     /// whole batch is re-fetched after a backoff (retrieves are
-    /// idempotent — nothing is committed by a truncated download).
-    pub fn download_transaction_faulty(
+    /// idempotent — nothing is committed by a truncated download). An
+    /// inactive plan draws no randomness here, so every offset is zero.
+    ///
+    /// `trace`, when given, records the `list` and every completed
+    /// retrieve.
+    #[allow(clippy::too_many_arguments)]
+    pub fn download_with_recovery(
         &mut self,
         chunks: &[ChunkWork],
         day: u32,
@@ -558,6 +569,7 @@ impl<'a> SyncEngine<'a> {
         plan: &FaultPlan,
         policy: &RetryPolicy,
         rng: &mut Rng,
+        mut trace: Option<&mut ProtocolTrace>,
     ) -> RecoveryOutcome {
         let mut out = RecoveryOutcome::default();
         if chunks.is_empty() {
@@ -573,6 +585,10 @@ impl<'a> SyncEngine<'a> {
             out.retries += 1;
             offset += policy.backoff(attempt, rng);
             attempt += 1;
+        }
+        // The triggering `list` exchange.
+        if let Some(t) = trace.as_deref_mut() {
+            t.record(at + offset, Sender::Client, Command::List);
         }
         out.flows
             .push((offset, self.control_flow(false, &[(340, list_resp)], rng)));
@@ -594,40 +610,10 @@ impl<'a> SyncEngine<'a> {
                 offset += policy.backoff(attempt, rng);
                 attempt += 1;
             }
-            out.flows.push((
-                offset,
-                self.retrieve_flow(batch, day, rng, None, SimTime::EPOCH),
-            ));
+            let spec = self.retrieve_flow(batch, day, rng, trace.as_deref_mut(), at + offset);
+            out.flows.push((offset, spec));
         }
         out
-    }
-
-    /// Build the flows of one *download* synchronisation transaction
-    /// (after `list` reported remote changes). Chunks are fetched in
-    /// transactions of at most 100, each on its own storage connection.
-    pub fn download_transaction(
-        &mut self,
-        chunks: &[ChunkWork],
-        day: u32,
-        rng: &mut Rng,
-        mut trace: Option<&mut ProtocolTrace>,
-        trace_t0: SimTime,
-    ) -> Vec<FlowSpec> {
-        let mut flows = Vec::new();
-        if chunks.is_empty() {
-            return flows;
-        }
-        // The triggering `list` exchange.
-        let list_resp = 400 + 90 * chunks.len() as u32;
-        if let Some(t) = trace.as_deref_mut() {
-            t.record(trace_t0, Sender::Client, Command::List);
-        }
-        flows.push(self.control_flow(false, &[(340, list_resp)], rng));
-
-        for batch in chunks.chunks(Command::MAX_CHUNKS_PER_BATCH) {
-            flows.push(self.retrieve_flow(batch, day, rng, trace.as_deref_mut(), trace_t0));
-        }
-        flows
     }
 
     /// One storage connection downloading a batch (≤ 100 chunks).
@@ -1080,13 +1066,14 @@ mod tests {
         };
         let policy = RetryPolicy::default();
         let mut rng = Rng::new(11);
-        let out = eng.upload_transaction_faulty(
+        let out = eng.upload_with_recovery(
             &chunks,
             0,
             SimTime::from_secs(100),
             &plan,
             &policy,
             &mut rng,
+            None,
         );
         assert!(out.aborted_flows > 0, "reset_p 0.7 must cut something");
         assert_eq!(out.retries, out.aborted_flows, "no outage in this plan");
@@ -1121,13 +1108,14 @@ mod tests {
         let mut eng = engine_with(&dns, &store, ClientVersion::V1_2_52);
         let chunks: Vec<ChunkWork> = (0..10).map(|i| chunkw(i, 8_000)).collect();
         let mut rng = Rng::new(12);
-        let out = eng.upload_transaction_faulty(
+        let out = eng.upload_with_recovery(
             &chunks,
             0,
             SimTime::from_secs(100),
             &FaultPlan::none(),
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert_eq!(out.retries, 0);
         assert_eq!(out.aborted_flows, 0);
@@ -1149,13 +1137,14 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut rng = Rng::new(13);
-        let out = eng.upload_transaction_faulty(
+        let out = eng.upload_with_recovery(
             &chunks,
             0,
             start,
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert!(out.retries > 0, "commit must be refused at least once");
         assert_eq!(out.aborted_flows, 0);
@@ -1177,13 +1166,14 @@ mod tests {
             ..FaultPlan::none()
         };
         let mut rng = Rng::new(14);
-        let out = eng.download_transaction_faulty(
+        let out = eng.download_with_recovery(
             &chunks,
             0,
             SimTime::from_secs(50),
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         assert!(out.aborted_flows > 0);
         // The final retrieve of each batch is clean and carries the full

@@ -52,13 +52,14 @@ proptest! {
             SyncConfig { version, ..SyncConfig::default() },
             7,
         );
-        let out = eng.upload_transaction_faulty(
+        let out = eng.upload_with_recovery(
             &chunks,
             0,
             SimTime::from_secs(seed % 500_000),
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
 
         let stats = store.stats();
@@ -97,13 +98,14 @@ proptest! {
         let pre = store.stats();
         let plan = FaultPlan::lossy(seed, 7);
         let mut eng = SyncEngine::new(&dns, &store, SyncConfig::default(), 8);
-        eng.upload_transaction_faulty(
+        eng.upload_with_recovery(
             &chunks,
             0,
             SimTime::from_secs(123),
             &plan,
             &RetryPolicy::default(),
             &mut rng,
+            None,
         );
         let post = store.stats();
         prop_assert_eq!(post.chunks, chunks.len() as u64);

@@ -33,7 +33,7 @@ use dropbox_analysis::sessions::{
     DevicesPerHouseholdAcc, HolidayDipAcc, HourlyProfiles, HourlyProfilesAcc,
     NamespacesPerDeviceAcc, RawDurationsAcc, StartupsAcc,
 };
-use dropbox_analysis::stream::Pipeline;
+use dropbox_analysis::stream::{Observe, Pipeline};
 use dropbox_analysis::throughput::{throughput_bps, transfer_duration, ThetaModel};
 use dropbox_analysis::Accumulate;
 use nettrace::{FlowRecord, Ipv4};
@@ -611,34 +611,20 @@ impl VantageSummary {
                 .register(&mut holiday)
                 .register(&mut hourly)
                 .register(&mut raw);
-            if let Some(a) = provider_series.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_dropbox.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_youtube.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = daily_total.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = households.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = devices.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = namespaces.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig9.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig10.as_mut() {
-                p.register(a);
-            }
-            if let Some(a) = fig20.as_mut() {
+            // Optional stages, registered in this fixed order when enabled.
+            let optional = [
+                provider_series.as_mut().map(|a| a as &mut dyn Observe),
+                daily_dropbox.as_mut().map(|a| a as &mut dyn Observe),
+                daily_youtube.as_mut().map(|a| a as &mut dyn Observe),
+                daily_total.as_mut().map(|a| a as &mut dyn Observe),
+                households.as_mut().map(|a| a as &mut dyn Observe),
+                devices.as_mut().map(|a| a as &mut dyn Observe),
+                namespaces.as_mut().map(|a| a as &mut dyn Observe),
+                fig9.as_mut().map(|a| a as &mut dyn Observe),
+                fig10.as_mut().map(|a| a as &mut dyn Observe),
+                fig20.as_mut().map(|a| a as &mut dyn Observe),
+            ];
+            for a in optional.into_iter().flatten() {
                 p.register(a);
             }
             out.dataset.stream_into(&mut p);

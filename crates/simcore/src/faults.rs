@@ -181,9 +181,10 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// The empty plan: no faults, no randomness consumed anywhere. With
-    /// this plan every consumer takes its pre-fault code path, keeping the
-    /// pipeline byte-for-byte identical to a build without fault support.
+    /// The empty plan: no faults, no randomness consumed anywhere. Every
+    /// consumer runs its one fault-aware code path with this plan; each
+    /// fault decision is gated on a nonzero probability or a nonempty
+    /// window list, so nothing fires and no extra draw is made.
     pub fn none() -> Self {
         FaultPlan {
             link_degraded_p: 0.0,
@@ -274,8 +275,8 @@ impl FaultPlan {
         plan
     }
 
-    /// Whether the plan injects anything at all. Consumers gate every
-    /// fault branch (and every extra RNG draw) on this.
+    /// Whether the plan injects anything at all. An inactive plan takes
+    /// the same code path as an active one but draws no randomness on it.
     pub fn is_active(&self) -> bool {
         self.link_degraded_p > 0.0
             || self.link_extra_loss > 0.0

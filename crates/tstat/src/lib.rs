@@ -178,10 +178,7 @@ impl Monitor {
         // A fresh SYN for a key already tracked (port reuse) finalizes the
         // previous incarnation.
         if pkt.flags.syn() && !pkt.flags.ack() {
-            if let Some(old) = self.flows.remove(&key) {
-                let fqdn = self.dns_view.get(&old.key.server.ip).cloned();
-                self.done.push(old.finalize(fqdn));
-            }
+            self.finish(key);
         }
 
         let state = self
@@ -309,10 +306,20 @@ impl Monitor {
         // Orderly FIN closes are finalized lazily (at flush or on port
         // reuse) because the final ACK still belongs to the flow.
         if state.rst {
-            let state = self.flows.remove(&key).expect("state exists");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+            self.finish(key);
         }
+    }
+
+    /// Stop tracking `key`, if it is tracked, and queue its finalized
+    /// record, labelled with the server name the DNS view holds for it.
+    /// Returns whether a record was queued.
+    fn finish(&mut self, key: FlowKey) -> bool {
+        let Some(state) = self.flows.remove(&key) else {
+            return false;
+        };
+        let fqdn = self.dns_view.get(&key.server.ip).cloned();
+        self.done.push(state.finalize(fqdn));
+        true
     }
 
     /// Orient a non-SYN packet onto a tracked flow.
@@ -328,28 +335,20 @@ impl Monitor {
         None
     }
 
-    /// Take the flows completed so far.
-    pub fn drain_completed(&mut self) -> Vec<FlowRecord> {
-        std::mem::take(&mut self.done)
-    }
-
     /// Stream the flows completed so far into a sink, in finalisation
-    /// order, without materialising a vector.
+    /// order. `Vec<FlowRecord>` is a sink, for callers that want them
+    /// materialised.
     pub fn drain_into(&mut self, sink: &mut dyn nettrace::FlowSink) {
         for rec in self.done.drain(..) {
             sink.accept(rec);
         }
     }
 
-    /// End of capture, streaming form: finalize all remaining flows and
-    /// emit everything not yet drained into `sink` (same order as
-    /// [`Monitor::flush`]).
+    /// End of capture: finalize all remaining flows, in key order, and
+    /// emit everything not yet drained into `sink`.
     pub fn flush_into(&mut self, sink: &mut dyn nettrace::FlowSink) {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            let state = self.flows.remove(&key).expect("key listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+        while let Some(&key) = self.flows.keys().next() {
+            self.finish(key);
         }
         self.drain_into(sink);
     }
@@ -365,22 +364,8 @@ impl Monitor {
             .map(|(&k, _)| k)
             .collect();
         for key in keys {
-            let state = self.flows.remove(&key).expect("listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
+            self.finish(key);
         }
-    }
-
-    /// End of capture: finalize all remaining flows and return everything
-    /// not yet drained.
-    pub fn flush(&mut self) -> Vec<FlowRecord> {
-        let keys: Vec<FlowKey> = self.flows.keys().copied().collect();
-        for key in keys {
-            let state = self.flows.remove(&key).expect("key listed");
-            let fqdn = self.dns_view.get(&key.server.ip).cloned();
-            self.done.push(state.finalize(fqdn));
-        }
-        self.drain_completed()
     }
 
     /// Convenience: process the complete packet trace of a single
@@ -392,13 +377,8 @@ impl Monitor {
         }
         // The flow either completed eagerly or is still tracked.
         if let Some(last) = packets.last() {
-            let key_a = FlowKey::new(last.src, last.dst);
-            let key_b = FlowKey::new(last.dst, last.src);
-            for key in [key_a, key_b] {
-                if let Some(state) = self.flows.remove(&key) {
-                    let fqdn = self.dns_view.get(&key.server.ip).cloned();
-                    return Some(state.finalize(fqdn));
-                }
+            if !self.finish(FlowKey::new(last.src, last.dst)) {
+                self.finish(FlowKey::new(last.dst, last.src));
             }
         }
         self.done.pop()
@@ -694,7 +674,8 @@ mod tests {
         for p in &all {
             mon.observe(p);
         }
-        let recs = mon.flush();
+        let mut recs = Vec::new();
+        mon.flush_into(&mut recs);
         assert_eq!(recs.len(), 2);
         let mut psh: Vec<u64> = recs.iter().map(|r| r.down.psh_segments).collect();
         psh.sort_unstable();
@@ -718,57 +699,10 @@ mod tests {
         mon.observe(&mk(2, TcpFlags::PSH.union(TcpFlags::ACK), 100));
         // New SYN on the same 4-tuple.
         mon.observe(&mk(100, TcpFlags::SYN, 0));
-        let completed = mon.drain_completed();
+        let mut completed = Vec::new();
+        mon.drain_into(&mut completed);
         assert_eq!(completed.len(), 1);
         assert_eq!(completed[0].up.bytes, 100);
         assert_eq!(mon.active_flows(), 1);
-    }
-
-    #[test]
-    fn flush_into_sink_matches_flush_order() {
-        // The streaming emission path must yield the same records in the
-        // same order as the materialising flush.
-        let build = |seed: u64| -> (Monitor, Vec<Packet>) {
-            let mut out1 = Vec::new();
-            let mut out2 = Vec::new();
-            let mut rng = Rng::new(seed);
-            let k2 = FlowKey::new(Endpoint::new(Ipv4::new(10, 0, 0, 5), 42_001), key().server);
-            simulate(
-                SimTime::from_secs(5),
-                key(),
-                &store_like_dialogue(2, 1_000),
-                &path(90),
-                &TcpParams::era_2012_v1(),
-                &mut rng,
-                &mut out1,
-            );
-            simulate(
-                SimTime::from_secs(6),
-                k2,
-                &store_like_dialogue(1, 500),
-                &path(90),
-                &TcpParams::era_2012_v1(),
-                &mut rng,
-                &mut out2,
-            );
-            let mut all: Vec<Packet> = out1.into_iter().chain(out2).collect();
-            all.sort_by_key(|p| p.ts);
-            (Monitor::new(true), all)
-        };
-        let (mut a, pkts) = build(11);
-        let (mut b, _) = build(11);
-        for p in &pkts {
-            a.observe(p);
-            b.observe(p);
-        }
-        let legacy = a.flush();
-        let mut streamed: Vec<FlowRecord> = Vec::new();
-        b.flush_into(&mut streamed);
-        assert_eq!(legacy.len(), streamed.len());
-        for (l, s) in legacy.iter().zip(&streamed) {
-            assert_eq!(l.key, s.key);
-            assert_eq!(l.up.bytes, s.up.bytes);
-            assert_eq!(l.down.bytes, s.down.bytes);
-        }
     }
 }

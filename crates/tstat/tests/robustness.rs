@@ -37,7 +37,8 @@ proptest! {
         for s in &seeds {
             mon.observe(&arbitrary_packet(*s));
         }
-        let records = mon.flush();
+        let mut records = Vec::new();
+        mon.flush_into(&mut records);
         for r in &records {
             prop_assert!(r.last_packet >= r.first_syn);
             prop_assert!(r.up.psh_segments <= r.up.packets);
@@ -114,7 +115,8 @@ fn idle_eviction_flushes_stale_flows() {
     // Evict flows idle for > 1 h at t = 4100 s: only the first qualifies.
     mon.evict_idle(SimTime::from_secs(4_100), SimDuration::from_hours(1));
     assert_eq!(mon.active_flows(), 1);
-    let done = mon.drain_completed();
+    let mut done = Vec::new();
+    mon.drain_into(&mut done);
     assert_eq!(done.len(), 1);
     assert_eq!(done[0].first_syn, SimTime::from_secs(100));
 }

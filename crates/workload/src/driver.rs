@@ -23,7 +23,7 @@ use crate::activity::{device_sessions, file_events, FileEvent, Session};
 use crate::audit::{CommitRecord, DeliveryKind, Excuse, SyncAudit};
 use crate::population::{self, Behavior, Household};
 use crate::providers;
-use crate::vantage::{Access, VantageConfig};
+use crate::vantage::VantageConfig;
 use dnssim::DnsDirectory;
 use dropbox::client::{ChunkWork, ClientVersion, RetryPolicy, SyncConfig, SyncEngine};
 use dropbox::content::{sample_file_size, ChunkId, Content};
@@ -39,7 +39,7 @@ use dropbox::storage::ChunkStore;
 use dropbox::web::{api_session_flows, direct_link_flow, web_session_flows};
 use dropbox::{FlowSpec, FlowTruth};
 use dropbox_analysis::Dataset;
-use nettrace::{Endpoint, FlowKey, FlowRecord, Ipv4};
+use nettrace::{Endpoint, FlowKey, FlowRecord};
 use simcore::faults::{FaultPlan, FlowFaults};
 use simcore::{dist, par, Rng, ShardId, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -279,10 +279,10 @@ pub struct VantageStats {
 /// Simulate one vantage point. `version` selects the client generation
 /// (v1.2.52 for the Mar–May capture, v1.4.0 for the Jun/Jul re-capture of
 /// Table 4). `faults` injects network and server failures: with
-/// [`FaultPlan::none`] no fault branch runs and no extra randomness is
-/// drawn, so the output is byte-identical to a fault-free build; with an
-/// active plan, flows pick up link degradations, storage transfers can be
-/// cut and resumed, and notification connections churn — all still a
+/// [`FaultPlan::none`] nothing fires and no extra randomness is drawn, so
+/// the output is the pinned fault-free baseline; with an active plan,
+/// flows pick up link degradations, storage transfers can be cut and
+/// resumed, and notification connections churn — all still a
 /// deterministic function of `(config, version, seed, plan)`.
 ///
 /// This is the materialising wrapper over the full-range household sweep
@@ -333,29 +333,6 @@ pub fn simulate_vantage_audited(
         }
         .into_sim_output(config),
         audit,
-    )
-}
-
-/// Streaming form of [`simulate_vantage`]: completed records are emitted
-/// into `sink` as the monitor finalises them, in the same canonical order
-/// the materialising wrapper stores them — the capture is never held in
-/// memory. Ground truth is not emitted (use [`simulate_vantage`] when the
-/// validation harness needs it).
-pub fn simulate_vantage_into(
-    config: &VantageConfig,
-    version: ClientVersion,
-    seed: u64,
-    faults: &FaultPlan,
-    sink: &mut dyn nettrace::FlowSink,
-) -> VantageStats {
-    simulate_span_impl(
-        config,
-        version,
-        seed,
-        faults,
-        0..config.addresses,
-        &mut |rec, _truth| sink.accept(rec),
-        None,
     )
 }
 
@@ -528,7 +505,6 @@ fn simulate_household(
     // (capture seed, capture id, household index) — never of the range
     // cut, the worker, or `--jobs` (simlint's `shard-seed` rule).
     let hh_rng = par::household_stream(seed, capture, idx as u64);
-    let plan_active = faults.is_active();
     let mut fault_stats = FaultStats::default();
     // Per-household monitor: `play` below observes each flow's DNS name
     // just before processing the flow, so name→address labelling never
@@ -542,24 +518,17 @@ fn simulate_household(
     let mut link_fault_rng = hh_rng.fork_named("faults");
     let mut scratch: Vec<nettrace::Packet> = Vec::new();
 
-    let mut play = |spec: &FlowSpec,
-                    at: SimTime,
-                    client_ip: Ipv4,
-                    access: Access,
-                    day: u32,
-                    monitor: &mut Monitor,
-                    rng: &mut Rng,
-                    scratch: &mut Vec<nettrace::Packet>| {
+    let mut play = |spec: &FlowSpec, at: SimTime, day: u32, rng: &mut Rng| {
         let Some(server_ip) = dns.resolve(&spec.server_name) else {
             return;
         };
         monitor.observe_dns(&spec.server_name, server_ip);
         port_counter = port_counter.wrapping_add(1);
-        let client = Endpoint::new(client_ip, (10_000 + (port_counter % 50_000)) as u16);
+        let client = Endpoint::new(hh.ip, (10_000 + (port_counter % 50_000)) as u16);
         let server = Endpoint::new(server_ip, spec.port);
         // Small household-stable spread on top of the base RTT so the
         // CDFs of Fig. 6 show the narrow band the paper measures.
-        let spread = SimDuration::from_millis((client_ip.0 as u64 * 7) % 6);
+        let spread = SimDuration::from_millis((hh.ip.0 as u64 * 7) % 6);
         // The storage/control RTT split of Fig. 6, plus the provider's
         // datacenter-placement surcharge (zero for Dropbox, whose measured
         // RTTs *are* the baseline).
@@ -570,7 +539,7 @@ fn simulate_household(
             } else {
                 config.control_rtt_on(day) + placement.control_extra()
             };
-        let path = config.path(access, outer, rng);
+        let path = config.path(hh.access, outer, rng);
         let tcp = match spec.truth {
             _ if matches!(spec.truth, FlowTruth::Notification) => TcpParams::era_2012_v1(),
             _ => match version {
@@ -579,15 +548,10 @@ fn simulate_household(
             },
         };
         // Merge the flow's intrinsic faults (e.g. a recovering upload's
-        // scripted reset) with link-level faults drawn from the plan. With
-        // an inactive plan nothing is drawn and `merged` is the spec's own
-        // profile (normally `None`), keeping the fault-free output
-        // byte-identical.
-        let merged = if plan_active {
-            FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng))
-        } else {
-            spec.faults
-        };
+        // scripted reset) with link-level faults drawn from the plan. An
+        // inactive plan draws nothing and yields no link faults, so
+        // `merged` is the spec's own profile (normally `None`).
+        let merged = FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng));
         scratch.clear();
         simulate_faulty(
             at,
@@ -597,9 +561,9 @@ fn simulate_household(
             &tcp,
             merged.as_ref(),
             rng,
-            scratch,
+            &mut scratch,
         );
-        if let Some(rec) = monitor.process_flow(scratch) {
+        if let Some(rec) = monitor.process_flow(&scratch) {
             emit(rec, Some(spec.truth.clone()));
         }
     };
@@ -855,7 +819,7 @@ fn simulate_household(
         // instant after recovery; external producers' commits land as soon
         // as the plane returns. Members propagate from the visibility
         // instant, not the commit instant.
-        let ctrl_active = plan_active && faults.has_control_plane();
+        let ctrl_active = faults.has_control_plane();
         let mut queues: Vec<DeviceQueue> =
             (0..devs.len()).map(|_| DeviceQueue::default()).collect();
         let mut uploads: Vec<Vec<(SimTime, Vec<u64>, Vec<ChunkWork>)>> =
@@ -1131,12 +1095,8 @@ fn simulate_household(
                     play(
                         &spec,
                         session.start + SimDuration::from_millis(dev_rng.range_u64(50, 900)),
-                        hh.ip,
-                        hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1158,16 +1118,7 @@ fn simulate_household(
                             md.namespaces_of(dev.host_int),
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                         t += period + SimDuration::from_millis(dev_rng.range_u64(0, 2_000));
                         polls += 1;
                     }
@@ -1191,16 +1142,7 @@ fn simulate_household(
                             SessionEnd::NatReset,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                         t += frag + SimDuration::from_millis(200);
                         frags += 1;
                     }
@@ -1215,16 +1157,7 @@ fn simulate_household(
                             SessionEnd::ClientShutdown,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                     }
                 } else if ctrl_active
                     && (!faults.notify_available(session.start)
@@ -1269,16 +1202,7 @@ fn simulate_household(
                                     *end,
                                     &mut dev_rng,
                                 );
-                                play(
-                                    &spec,
-                                    phase.start,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
+                                play(&spec, phase.start, day, &mut dev_rng);
                                 if *end == SessionEnd::Aborted {
                                     fault_stats.notify_aborts += 1;
                                 }
@@ -1291,16 +1215,7 @@ fn simulate_household(
                                     let resp = if faults.meta_available(pt) { 420 } else { 120 };
                                     let spec =
                                         engine.control_flow(false, &[(340, resp)], &mut dev_rng);
-                                    play(
-                                        &spec,
-                                        pt,
-                                        hh.ip,
-                                        hh.access,
-                                        day,
-                                        &mut monitor,
-                                        &mut dev_rng,
-                                        &mut scratch,
-                                    );
+                                    play(&spec, pt, day, &mut dev_rng);
                                     fault_stats.fallback_polls += 1;
                                     if let Some(a) = audit.as_deref_mut() {
                                         a.fallback_poll();
@@ -1317,16 +1232,7 @@ fn simulate_household(
                             md.namespaces_of(dev.host_int),
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            at,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, at, day, &mut dev_rng);
                         fault_stats.reconnect_attempts += 1;
                         if let Some(a) = audit.as_deref_mut() {
                             a.reconnect_attempt(at, dev.host_int.0);
@@ -1338,10 +1244,7 @@ fn simulate_household(
                             a.reconnect(at, dev.host_int.0);
                         }
                     }
-                } else if plan_active
-                    && faults.notify_churn_p > 0.0
-                    && dev_rng.chance(faults.notify_churn_p)
-                {
+                } else if faults.notify_churn_p > 0.0 && dev_rng.chance(faults.notify_churn_p) {
                     // A flaky link churns the notification connection: a few
                     // fragments die mid-poll (RST with a request outstanding)
                     // and the client reconnects after an exponential backoff
@@ -1362,16 +1265,7 @@ fn simulate_household(
                             SessionEnd::Aborted,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                         fault_stats.notify_aborts += 1;
                         t += frag + policy.backoff(attempt, &mut dev_rng);
                         attempt += 1;
@@ -1387,16 +1281,7 @@ fn simulate_household(
                             SessionEnd::ClientShutdown,
                             &mut dev_rng,
                         );
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                     }
                 } else {
                     let spec = spec_notification_flow(
@@ -1409,16 +1294,7 @@ fn simulate_household(
                         SessionEnd::ClientShutdown,
                         &mut dev_rng,
                     );
-                    play(
-                        &spec,
-                        session.start,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut dev_rng,
-                        &mut scratch,
-                    );
+                    play(&spec, session.start, day, &mut dev_rng);
                 }
 
                 // Login synchronisation burst: one transaction per missed
@@ -1430,44 +1306,19 @@ fn simulate_household(
                             a.deliver(cid, dev.host_int.0, t_login, DeliveryKind::Login);
                         }
                     }
-                    if plan_active {
-                        let outcome = engine.download_transaction_faulty(
-                            batch,
-                            day,
-                            t_login,
-                            faults,
-                            &policy,
-                            &mut dev_rng,
-                        );
-                        fault_stats.sync_retries += u64::from(outcome.retries);
-                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                        for (off, spec) in &outcome.flows {
-                            play(
-                                spec,
-                                t_login + *off,
-                                hh.ip,
-                                hh.access,
-                                day,
-                                &mut monitor,
-                                &mut dev_rng,
-                                &mut scratch,
-                            );
-                        }
-                    } else {
-                        for spec in
-                            engine.download_transaction(batch, day, &mut dev_rng, None, t_login)
-                        {
-                            play(
-                                &spec,
-                                t_login,
-                                hh.ip,
-                                hh.access,
-                                day,
-                                &mut monitor,
-                                &mut dev_rng,
-                                &mut scratch,
-                            );
-                        }
+                    let outcome = engine.download_with_recovery(
+                        batch,
+                        day,
+                        t_login,
+                        faults,
+                        policy,
+                        &mut dev_rng,
+                        None,
+                    );
+                    fault_stats.sync_retries += u64::from(outcome.retries);
+                    fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
+                    for (off, spec) in &outcome.flows {
+                        play(spec, t_login + *off, day, &mut dev_rng);
                     }
                     t_login += SimDuration::from_secs(dev_rng.range_u64(3, 25));
                 }
@@ -1481,29 +1332,11 @@ fn simulate_household(
                         // attempt bounces with a 5xx-sized response and is
                         // retried immediately after.
                         let spec = engine.control_flow(false, &[(340, 120)], &mut dev_rng);
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                         fault_stats.sync_retries += 1;
                     }
                     let spec = engine.control_flow(false, &[(340, 420)], &mut dev_rng);
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut dev_rng,
-                        &mut scratch,
-                    );
+                    play(&spec, t, day, &mut dev_rng);
                     t += SimDuration::from_mins(dev_rng.range_u64(25, 50));
                 }
 
@@ -1515,44 +1348,19 @@ fn simulate_household(
                                 a.flushed(cid, *t);
                             }
                         }
-                        if plan_active {
-                            let outcome = engine.upload_transaction_faulty(
-                                chunks,
-                                day,
-                                *t,
-                                faults,
-                                &policy,
-                                &mut dev_rng,
-                            );
-                            fault_stats.sync_retries += u64::from(outcome.retries);
-                            fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                            for (off, spec) in &outcome.flows {
-                                play(
-                                    spec,
-                                    *t + *off,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
-                            }
-                        } else {
-                            for spec in
-                                engine.upload_transaction(chunks, day, &mut dev_rng, None, *t)
-                            {
-                                play(
-                                    &spec,
-                                    *t,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
-                            }
+                        let outcome = engine.upload_with_recovery(
+                            chunks,
+                            day,
+                            *t,
+                            faults,
+                            policy,
+                            &mut dev_rng,
+                            None,
+                        );
+                        fault_stats.sync_retries += u64::from(outcome.retries);
+                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
+                        for (off, spec) in &outcome.flows {
+                            play(spec, *t + *off, day, &mut dev_rng);
                         }
                     }
                 }
@@ -1560,44 +1368,19 @@ fn simulate_household(
                 // Downloads while on-line.
                 if let Some(downs) = session_downloads.get(&si) {
                     for (t, chunks) in downs {
-                        if plan_active {
-                            let outcome = engine.download_transaction_faulty(
-                                chunks,
-                                day,
-                                *t,
-                                faults,
-                                &policy,
-                                &mut dev_rng,
-                            );
-                            fault_stats.sync_retries += u64::from(outcome.retries);
-                            fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                            for (off, spec) in &outcome.flows {
-                                play(
-                                    spec,
-                                    *t + *off,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
-                            }
-                        } else {
-                            for spec in
-                                engine.download_transaction(chunks, day, &mut dev_rng, None, *t)
-                            {
-                                play(
-                                    &spec,
-                                    *t,
-                                    hh.ip,
-                                    hh.access,
-                                    day,
-                                    &mut monitor,
-                                    &mut dev_rng,
-                                    &mut scratch,
-                                );
-                            }
+                        let outcome = engine.download_with_recovery(
+                            chunks,
+                            day,
+                            *t,
+                            faults,
+                            policy,
+                            &mut dev_rng,
+                            None,
+                        );
+                        fault_stats.sync_retries += u64::from(outcome.retries);
+                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
+                        for (off, spec) in &outcome.flows {
+                            play(spec, *t + *off, day, &mut dev_rng);
                         }
                     }
                 }
@@ -1608,12 +1391,8 @@ fn simulate_household(
                     play(
                         &spec,
                         session.start + SimDuration::from_secs(dev_rng.range_u64(30, 300)),
-                        hh.ip,
-                        hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1623,12 +1402,8 @@ fn simulate_household(
                     play(
                         &spec,
                         session.start + SimDuration::from_secs(dev_rng.range_u64(60, 600)),
-                        hh.ip,
-                        hh.access,
                         day,
-                        &mut monitor,
                         &mut dev_rng,
-                        &mut scratch,
                     );
                 }
 
@@ -1651,16 +1426,7 @@ fn simulate_household(
                             raw_bytes: 4 * 1024 * 1024,
                         };
                         let spec = engine.store_flow(&[chunk], day, &mut dev_rng, None, t);
-                        play(
-                            &spec,
-                            t,
-                            hh.ip,
-                            hh.access,
-                            day,
-                            &mut monitor,
-                            &mut dev_rng,
-                            &mut scratch,
-                        );
+                        play(&spec, t, day, &mut dev_rng);
                         t += SimDuration::from_secs(dev_rng.range_u64(1_100, 1_900));
                     }
                 }
@@ -1687,45 +1453,18 @@ fn simulate_household(
             if web_rng.chance(0.06) {
                 let t = at(&mut web_rng);
                 for spec in web_session_flows(&mut web_rng) {
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut web_rng.clone(),
-                        &mut scratch,
-                    );
+                    play(&spec, t, day, &mut web_rng.clone());
                 }
             }
             if web_rng.chance(0.55) {
                 let t = at(&mut web_rng);
                 let spec = direct_link_flow(&mut web_rng);
-                play(
-                    &spec,
-                    t,
-                    hh.ip,
-                    hh.access,
-                    day,
-                    &mut monitor,
-                    &mut web_rng.clone(),
-                    &mut scratch,
-                );
+                play(&spec, t, day, &mut web_rng.clone());
             }
             if hh.behavior.is_some() && web_rng.chance(0.08) {
                 let t = at(&mut web_rng);
                 for spec in api_session_flows(&mut web_rng) {
-                    play(
-                        &spec,
-                        t,
-                        hh.ip,
-                        hh.access,
-                        day,
-                        &mut monitor,
-                        &mut web_rng.clone(),
-                        &mut scratch,
-                    );
+                    play(&spec, t, day, &mut web_rng.clone());
                 }
             }
         }

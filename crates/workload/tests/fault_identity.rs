@@ -4,10 +4,10 @@
 //! with [`FaultPlan::none`] has to reproduce, byte for byte, the
 //! canonical baseline output. The digests pinned below were captured from
 //! the per-household-stream baseline (the sub-capture sharding refactor);
-//! if they move, either a fault branch leaked into the clean path (an
-//! extra RNG draw is enough) or a change perturbed the per-household seed
-//! derivation — both break the reproducibility contract and need a
-//! deliberate re-pin.
+//! if they move, either a fault decision fired or drew under an inactive
+//! plan (an extra RNG draw is enough) or a change perturbed the
+//! per-household seed derivation — both break the reproducibility
+//! contract and need a deliberate re-pin.
 //!
 //! An *active* plan, in turn, must stay a pure function of its inputs:
 //! the same `(config, seed, plan)` triple serialises to identical JSONL
