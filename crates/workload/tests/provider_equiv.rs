@@ -43,6 +43,14 @@ fn digest(flows: &[FlowRecord]) -> u64 {
     h
 }
 
+/// FNV-1a over every byte of a serialised capture: unlike [`digest`], it
+/// covers server names, DNS labels and every other exported field.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf29ce484222325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
+    })
+}
+
 fn jsonl(out: &SimOutput) -> Vec<u8> {
     let mut buf = Vec::new();
     nettrace::flowlog::write_jsonl(&mut buf, &out.dataset.flows).expect("serialise flows");
@@ -67,6 +75,24 @@ fn explicit_dropbox_spec_reproduces_the_pinned_baseline() {
     let campus = simulate_vantage(&config, ClientVersion::V1_2_52, 42, &FaultPlan::none());
     assert_eq!(campus.dataset.flows.len(), 808);
     assert_eq!(digest(&campus.dataset.flows), 0x1677cb9ce0b2216f);
+}
+
+#[test]
+fn flat_specs_reproduce_their_pinned_captures() {
+    // The competing specs get the same Home 1 run as the Dropbox
+    // baseline, pinned over the full serialised JSONL so that a change of
+    // server name (the spec's naming decision) moves the pin too.
+    for (prov, flows, pin) in [
+        (&spec::SKYDRIVE_LIKE, 15363usize, 0xce9bf7c2f80b67ddu64),
+        (&spec::GDRIVE_LIKE, 9720, 0xf9beca8b85f7b2aa),
+    ] {
+        let mut config = VantageConfig::paper(VantageKind::Home1, 0.02);
+        config.days = 7;
+        config.protocol = prov;
+        let out = simulate_vantage(&config, ClientVersion::V1_2_52, 42, &FaultPlan::none());
+        assert_eq!(out.dataset.flows.len(), flows, "{}", prov.slug);
+        assert_eq!(fnv1a(&jsonl(&out)), pin, "{}", prov.slug);
+    }
 }
 
 #[test]
