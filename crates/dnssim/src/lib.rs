@@ -226,6 +226,17 @@ impl DnsDirectory {
         format!("notify{}.dropbox.com", rng.range_u64(1, NOTIFY_POOL as u64))
     }
 
+    /// The system-log collector a client reports to: `d.dropbox.com` for
+    /// event logs, a `dl-debugX` front (drawn from `rng`) for exception
+    /// back-traces (Sec. 2.3).
+    pub fn log_name(&self, backtrace: bool, rng: &mut Rng) -> String {
+        if backtrace {
+            format!("dl-debug{}.dropbox.com", rng.range_u64(1, 4))
+        } else {
+            "d.dropbox.com".to_owned()
+        }
+    }
+
     /// The alias list distributed to a device on a given day (Sec. 2.4:
     /// "a subset of those aliases are sent to clients regularly; clients
     /// rotate in the received lists").

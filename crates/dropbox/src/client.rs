@@ -22,7 +22,7 @@
 
 use crate::content::ChunkId;
 use crate::protocol::{Command, ProtocolTrace, Sender};
-use crate::spec::{self, Naming, ProviderSpec};
+use crate::spec::{self, ProviderSpec};
 use crate::storage::ChunkStore;
 use crate::{FlowSpec, FlowTruth};
 use dnssim::{DnsDirectory, ServerRole};
@@ -154,10 +154,10 @@ pub struct RecoveryOutcome {
 
 /// The sync engine of one device.
 pub struct SyncEngine<'a> {
-    dns: &'a DnsDirectory,
+    pub(crate) dns: &'a DnsDirectory,
     store: &'a ChunkStore,
     config: SyncConfig,
-    device_id: u64,
+    pub(crate) device_id: u64,
     alias_cursor: usize,
 }
 
@@ -208,13 +208,10 @@ impl<'a> SyncEngine<'a> {
     /// Next storage front. Dropbox rotates the per-device alias list of
     /// Sec. 2.4; flat-named providers rotate their `storeN` pool.
     fn next_storage_alias(&mut self, day: u32) -> String {
-        let name = match self.config.spec.naming {
-            Naming::DropboxDns => {
-                let list = self.dns.storage_aliases_for(self.device_id, day);
-                list[self.alias_cursor % list.len()].clone()
-            }
-            Naming::Flat { .. } => self.config.spec.storage_name(self.alias_cursor),
-        };
+        let name = self
+            .config
+            .spec
+            .storage_name(self.dns, self.device_id, day, self.alias_cursor);
         self.alias_cursor += 1;
         name
     }
@@ -230,10 +227,7 @@ impl<'a> SyncEngine<'a> {
         exchanges: &[(u32, u32)],
         rng: &mut Rng,
     ) -> FlowSpec {
-        let name = match self.config.spec.naming {
-            Naming::DropboxDns => self.dns.meta_name(via_lb, rng),
-            Naming::Flat { .. } => self.config.spec.control_name(),
-        };
+        let name = self.config.spec.control_name(self.dns, via_lb, rng);
         let mut messages =
             tls::handshake(&name, self.config.spec.cert_cn(), self.server_reaction(rng));
         for &(req, resp) in exchanges {
@@ -713,45 +707,35 @@ impl<'a> SyncEngine<'a> {
     /// An exception back-trace upload (`dl-debugX.dropbox.com`, Sec. 2.3)
     /// — rare crash reports shipped to Amazon-side collectors.
     pub fn backtrace_flow(&mut self, rng: &mut Rng) -> FlowSpec {
-        let name = format!("dl-debug{}.dropbox.com", rng.range_u64(1, 4));
-        let mut messages =
-            tls::handshake(&name, self.config.spec.cert_cn(), self.server_reaction(rng));
-        messages.push(Message {
-            dir: Direction::Up,
-            delay: SimDuration::from_millis(100),
-            writes: vec![tls::record(rng.range_u64(2_000, 40_000) as u32)],
-        });
-        messages.push(Message {
-            dir: Direction::Down,
-            delay: self.server_reaction(rng),
-            writes: vec![tls::record(150)],
-        });
-        FlowSpec {
-            server_name: name,
-            port: 443,
-            dialogue: Dialogue::new(messages).with_close(CloseMode::ClientFin {
-                delay: SimDuration::from_millis(100),
-            }),
-            truth: FlowTruth::SystemLog,
-            faults: None,
-        }
+        self.system_log_flow(true, rng)
     }
 
     /// An event-log report flow (`d.dropbox.com`, Sec. 2.3) — sporadic,
     /// small, and excluded from the paper's deeper analysis.
     pub fn event_log_flow(&mut self, rng: &mut Rng) -> FlowSpec {
-        let name = "d.dropbox.com".to_owned();
+        self.system_log_flow(false, rng)
+    }
+
+    /// One system-log report: a TLS upload of the log (or back-trace) and
+    /// a short acknowledgement.
+    fn system_log_flow(&mut self, backtrace: bool, rng: &mut Rng) -> FlowSpec {
+        let name = self.dns.log_name(backtrace, rng);
+        let (delay_ms, (lo, hi), ack) = if backtrace {
+            (100, (2_000, 40_000), 150)
+        } else {
+            (50, (300, 2_000), 120)
+        };
         let mut messages =
             tls::handshake(&name, self.config.spec.cert_cn(), self.server_reaction(rng));
         messages.push(Message {
             dir: Direction::Up,
-            delay: SimDuration::from_millis(50),
-            writes: vec![tls::record(rng.range_u64(300, 2_000) as u32)],
+            delay: SimDuration::from_millis(delay_ms),
+            writes: vec![tls::record(rng.range_u64(lo, hi) as u32)],
         });
         messages.push(Message {
             dir: Direction::Down,
             delay: self.server_reaction(rng),
-            writes: vec![tls::record(120)],
+            writes: vec![tls::record(ack)],
         });
         FlowSpec {
             server_name: name,

@@ -27,8 +27,9 @@
 //! `repro --provider-matrix`.
 
 use crate::client::ClientVersion;
+use dnssim::DnsDirectory;
 use nettrace::Ipv4;
-use simcore::SimDuration;
+use simcore::{Rng, SimDuration};
 
 /// Bundling parameters: how small chunks are packed into one storage
 /// operation.
@@ -258,36 +259,46 @@ impl ProviderSpec {
         }
     }
 
-    /// Control-plane FQDN (flat naming only; the Dropbox spec routes
-    /// through [`dnssim::DnsDirectory::meta_name`]).
-    pub fn control_name(&self) -> String {
+    /// Control-plane FQDN. Dropbox picks a `clientX` meta-data front (or
+    /// `client-lb` for commit-style commands, drawing nothing) from `rng`;
+    /// flat-named providers have one `sync` front.
+    pub fn control_name(&self, dns: &DnsDirectory, via_lb: bool, rng: &mut Rng) -> String {
         match self.naming {
-            Naming::DropboxDns => "client-lb.dropbox.com".to_owned(),
+            Naming::DropboxDns => dns.meta_name(via_lb, rng),
             Naming::Flat { domain, .. } => format!("sync.{domain}"),
         }
     }
 
-    /// Notification FQDN (flat naming only).
-    pub fn notify_name(&self) -> String {
+    /// Notification FQDN for a new connection. Dropbox draws a `notifyX`
+    /// pool member from `rng`; flat-named providers have one `notify`
+    /// front and draw nothing.
+    pub fn notify_name(&self, dns: &DnsDirectory, rng: &mut Rng) -> String {
         match self.naming {
-            Naming::DropboxDns => "notify1.dropbox.com".to_owned(),
+            Naming::DropboxDns => dns.notify_name(rng),
             Naming::Flat { domain, .. } => format!("notify.{domain}"),
         }
     }
 
-    /// Telemetry/crash-report FQDN (flat naming only).
-    pub fn telemetry_name(&self) -> String {
+    /// System-log FQDN: the event-log collector, or the back-trace
+    /// collector when `backtrace` is set. Dropbox draws the `dl-debugX`
+    /// back-trace front from `rng`; flat-named providers log to one
+    /// `telemetry` front and draw nothing.
+    pub fn telemetry_name(&self, dns: &DnsDirectory, backtrace: bool, rng: &mut Rng) -> String {
         match self.naming {
-            Naming::DropboxDns => "d.dropbox.com".to_owned(),
+            Naming::DropboxDns => dns.log_name(backtrace, rng),
             Naming::Flat { domain, .. } => format!("telemetry.{domain}"),
         }
     }
 
-    /// Storage front for rotation `cursor` (flat naming only; the Dropbox
-    /// spec rotates the per-device `dl-clientX` alias lists of Sec. 2.4).
-    pub fn storage_name(&self, cursor: usize) -> String {
+    /// Storage front for rotation `cursor` of `device` on `day`. Dropbox
+    /// rotates the per-device `dl-clientX` alias list of Sec. 2.4;
+    /// flat-named providers rotate their `storeN` pool.
+    pub fn storage_name(&self, dns: &DnsDirectory, device: u64, day: u32, cursor: usize) -> String {
         match self.naming {
-            Naming::DropboxDns => format!("dl-client{}.dropbox.com", cursor + 1),
+            Naming::DropboxDns => {
+                let list = dns.storage_aliases_for(device, day);
+                list[cursor % list.len()].clone()
+            }
             Naming::Flat {
                 domain,
                 storage_pool,
@@ -304,7 +315,7 @@ impl ProviderSpec {
     pub fn is_storage_name(&self, name: &str) -> bool {
         match self.naming {
             Naming::DropboxDns => matches!(
-                dnssim::DnsDirectory::role_of_name(name),
+                DnsDirectory::role_of_name(name),
                 Some(r) if r.is_amazon()
             ),
             Naming::Flat { domain, .. } => {
@@ -395,19 +406,26 @@ mod tests {
 
     #[test]
     fn flat_naming_produces_resolvable_consistent_names() {
+        let dns = DnsDirectory::new();
+        let rng = &mut Rng::new(1);
         for spec in [&SKYDRIVE_LIKE, &GDRIVE_LIKE] {
             let entries = spec.dns_entries();
             let names: Vec<&str> = entries.iter().map(|(n, _)| n.as_str()).collect();
-            assert!(names.contains(&spec.control_name().as_str()));
-            assert!(names.contains(&spec.notify_name().as_str()));
-            assert!(names.contains(&spec.telemetry_name().as_str()));
+            let control = spec.control_name(&dns, false, rng);
+            let notify = spec.notify_name(&dns, rng);
+            assert!(names.contains(&control.as_str()));
+            assert!(names.contains(&notify.as_str()));
+            for backtrace in [false, true] {
+                let telemetry = spec.telemetry_name(&dns, backtrace, rng);
+                assert!(names.contains(&telemetry.as_str()));
+            }
             for cursor in 0..20 {
-                let s = spec.storage_name(cursor);
+                let s = spec.storage_name(&dns, 7, 0, cursor);
                 assert!(names.contains(&s.as_str()), "{s} not registered");
                 assert!(spec.is_storage_name(&s), "{s} not storage");
             }
-            assert!(!spec.is_storage_name(&spec.control_name()));
-            assert!(!spec.is_storage_name(&spec.notify_name()));
+            assert!(!spec.is_storage_name(&control));
+            assert!(!spec.is_storage_name(&notify));
             // No generic name collides with the Dropbox zone.
             assert!(names.iter().all(|n| !n.ends_with(".dropbox.com")));
             // Addresses are unique within the spec.
@@ -432,8 +450,9 @@ mod tests {
             Naming::Flat { storage_pool, .. } => storage_pool as usize,
             _ => unreachable!(),
         };
+        let dns = DnsDirectory::new();
         let names: std::collections::BTreeSet<String> = (0..3 * pool)
-            .map(|c| SKYDRIVE_LIKE.storage_name(c))
+            .map(|c| SKYDRIVE_LIKE.storage_name(&dns, 7, 0, c))
             .collect();
         assert_eq!(names.len(), pool, "rotation must cycle the whole pool");
     }

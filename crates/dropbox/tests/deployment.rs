@@ -145,9 +145,9 @@ fn notification_advertises_metadata_state() {
     let root = md.register_host(UserId(2), host);
     let shared = md.create_namespace(host);
 
-    let spec = dropbox::notification::notification_flow(
-        &dns,
-        host,
+    let store = ChunkStore::new();
+    let engine = SyncEngine::new(&dns, &store, SyncConfig::default(), host.0);
+    let spec = engine.notification_flow(
         md.namespaces_of(host),
         simcore::SimDuration::from_mins(3),
         0,

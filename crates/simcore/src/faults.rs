@@ -288,10 +288,9 @@ impl FaultPlan {
     }
 
     /// Whether any control-plane events (notification outages, metadata
-    /// outages, degraded windows) are planned. Consumers gate the
-    /// degraded-mode state machine — and every RNG draw it makes — on
-    /// this, so plans without control-plane faults keep the pre-existing
-    /// draw sequence.
+    /// outages, degraded windows) are planned. Without them every
+    /// control-plane predicate below answers "up and healthy", so the
+    /// degraded-mode state machine never starts and draws nothing.
     pub fn has_control_plane(&self) -> bool {
         !self.notify_outages.is_empty()
             || !self.meta_outages.is_empty()

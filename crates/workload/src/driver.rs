@@ -1,23 +1,32 @@
 //! The end-to-end vantage-point simulation.
 //!
-//! [`simulate_vantage`] plays one vantage point's whole capture:
+//! [`simulate_vantage`] plays one vantage point's whole capture, one
+//! household at a time. Each household is a fixed sequence of phases —
+//! the detect/commit → propagate/notify → transfer decomposition that
+//! sync-tool surveys use — and each phase owns the state it builds:
 //!
-//! 1. builds the population and registers devices/namespaces with the
-//!    meta-data plane,
-//! 2. schedules every device's sessions and file events,
-//! 3. orders all commits (local uploads and external-producer commits)
-//!    chronologically and propagates them to the namespace members —
-//!    on-line members download after a notification delay, off-line
-//!    members queue the work for their next session start (the login
-//!    synchronisation burst of Fig. 15(c)), same-LAN members are served by
-//!    the LAN Sync Protocol and generate no WAN traffic (Sec. 5.2),
-//! 4. renders every resulting connection through the `dropbox` protocol
-//!    engine and the `tcpmodel` network onto a `tstat::Monitor`,
-//! 5. adds web/API/direct-link usage and the flow-fidelity background
-//!    services.
+//! 1. `register` builds the household's sync plane: the metadata server
+//!    and chunk store, the devices with their sessions, and the namespaces
+//!    each device joins,
+//! 2. `order_commits` materialises every commit (local uploads and
+//!    external-producer commits) in time order,
+//! 3. `propagate` decides when each commit becomes visible and how each
+//!    member receives it: on-line members download after a notification
+//!    delay, off-line members queue the work for their next session start
+//!    (the login synchronisation burst of Fig. 15(c)), and same-LAN
+//!    members are served by the LAN Sync Protocol and generate no WAN
+//!    traffic (Sec. 5.2); under a metadata outage, committers queue their
+//!    changes offline and flush after recovery,
+//! 4. `render_devices` renders every resulting connection — control,
+//!    notification, storage and system-log flows (Sec. 2.3) — through the
+//!    `dropbox` protocol engine,
+//! 5. `web_flows` adds web/API/direct-link usage, and the background
+//!    phase adds the flow-fidelity provider services.
 //!
-//! The output pairs each monitored flow record with its generator ground
-//! truth so the analysis layer's inferences can be scored.
+//! A `FlowPlayer` carries every rendered flow through the `tcpmodel`
+//! network onto the household's `tstat::Monitor`. The output pairs each
+//! monitored flow record with its generator ground truth so the analysis
+//! layer's inferences can be scored.
 
 use crate::activity::{device_sessions, file_events, FileEvent, Session};
 use crate::audit::{CommitRecord, DeliveryKind, Excuse, SyncAudit};
@@ -25,21 +34,18 @@ use crate::population::{self, Behavior, Household};
 use crate::providers;
 use crate::vantage::VantageConfig;
 use dnssim::DnsDirectory;
-use dropbox::client::{ChunkWork, ClientVersion, RetryPolicy, SyncConfig, SyncEngine};
+use dropbox::client::{ChunkWork, ClientVersion, SyncConfig, SyncEngine};
 use dropbox::content::{sample_file_size, ChunkId, Content};
 use dropbox::lan_sync::{Announcement, LanSync};
 use dropbox::metadata::{FileId, HostInt, MetadataServer, NamespaceId, UserId};
-use dropbox::notification::{
-    notification_flow, notification_flow_named, poll_check_flow, reconnect_probe_flow,
-    reconnect_probe_flow_named, SessionEnd,
-};
+use dropbox::notification::SessionEnd;
 use dropbox::session::{plan_session, OfflineQueue, PhaseKind, SessionPolicy};
-use dropbox::spec::{Naming, NotifyStyle, ProviderSpec};
+use dropbox::spec::NotifyStyle;
 use dropbox::storage::ChunkStore;
 use dropbox::web::{api_session_flows, direct_link_flow, web_session_flows};
 use dropbox::{FlowSpec, FlowTruth};
 use dropbox_analysis::Dataset;
-use nettrace::{Endpoint, FlowKey, FlowRecord};
+use nettrace::{Endpoint, FlowKey, FlowRecord, Packet};
 use simcore::faults::{FaultPlan, FlowFaults};
 use simcore::{dist, par, Rng, ShardId, SimDuration, SimTime};
 use std::collections::BTreeMap;
@@ -109,52 +115,6 @@ impl SimOutput {
     }
 }
 
-/// Provider-aware notification session flow: the Dropbox spec routes
-/// through the `notifyX` pool (drawing the pool pick from `rng`, exactly
-/// as the pre-refactor driver did); flat-named providers pin their single
-/// notify front.
-#[allow(clippy::too_many_arguments)]
-fn spec_notification_flow(
-    proto: &'static ProviderSpec,
-    dns: &DnsDirectory,
-    host: HostInt,
-    namespaces: &[NamespaceId],
-    span: SimDuration,
-    changes: u32,
-    end: SessionEnd,
-    rng: &mut Rng,
-) -> FlowSpec {
-    match proto.naming {
-        Naming::DropboxDns => notification_flow(dns, host, namespaces, span, changes, end, rng),
-        Naming::Flat { .. } => notification_flow_named(
-            proto.notify_name(),
-            host,
-            namespaces,
-            span,
-            changes,
-            end,
-            rng,
-        ),
-    }
-}
-
-/// Provider-aware counterpart of `reconnect_probe_flow` (see
-/// [`spec_notification_flow`] for the naming split).
-fn spec_reconnect_probe_flow(
-    proto: &'static ProviderSpec,
-    dns: &DnsDirectory,
-    host: HostInt,
-    namespaces: &[NamespaceId],
-    rng: &mut Rng,
-) -> FlowSpec {
-    match proto.naming {
-        Naming::DropboxDns => reconnect_probe_flow(dns, host, namespaces, rng),
-        Naming::Flat { .. } => {
-            reconnect_probe_flow_named(proto.notify_name(), host, namespaces, rng)
-        }
-    }
-}
-
 /// A commit of chunks into a namespace, in global time order.
 struct Commit {
     at: SimTime,
@@ -167,16 +127,26 @@ struct Commit {
     superseded: Vec<ChunkId>,
 }
 
-/// Work queued for a device. Batches carry the ledger ids of the commits
-/// they deliver so the sync audit can match deliveries to commits.
+/// An upload transaction: its flush instant, the ledger ids of the
+/// commits it carries, and their chunks.
+type Upload = (SimTime, Vec<u64>, Vec<ChunkWork>);
+
+/// A login-burst batch: the ledger ids of the commits it replays and
+/// their chunks.
+type LoginBatch = (Vec<u64>, Vec<ChunkWork>);
+
+/// The sync work propagation hands to one device's render. Batches carry
+/// the ledger ids of the commits they deliver so the sync audit can match
+/// deliveries to commits.
 #[derive(Default)]
 struct DeviceQueue {
+    /// The device's own upload transactions, in flush order.
+    uploads: Vec<Upload>,
     /// (deliver_at, commit id, chunks) for downloads while on-line.
     online_downloads: Vec<(SimTime, u64, Vec<ChunkWork>)>,
-    /// Per-commit chunk batches waiting for the next session start.
-    pending: Vec<(SimTime, u64, Vec<ChunkWork>)>,
-    /// Pending commit batches per session index (resolved before render).
-    pending_at_start: BTreeMap<usize, Vec<(Vec<u64>, Vec<ChunkWork>)>>,
+    /// Commit batches for the login burst, keyed by the index of the
+    /// session whose start replays them.
+    at_start: BTreeMap<usize, Vec<LoginBatch>>,
 }
 
 /// Flattened device handle (local to one household).
@@ -188,7 +158,6 @@ struct Dev {
     version: ClientVersion,
     abnormal: bool,
     nat_afflicted: bool,
-    workstation: bool,
 }
 
 impl Dev {
@@ -253,19 +222,15 @@ fn flush_time(dev: &Dev, t: SimTime, faults: &FaultPlan) -> Option<SimTime> {
 /// Drain an offline queue into the committer's upload schedule at its
 /// flush instant. Batches keep their commit tags so the render pass can
 /// journal each commit's flush exactly once.
-fn flush_queue(
-    q: &mut OfflineQueue,
-    at: SimTime,
-    di: usize,
-    uploads: &mut [Vec<(SimTime, Vec<u64>, Vec<ChunkWork>)>],
-) {
+fn flush_queue(q: &mut OfflineQueue, at: SimTime, uploads: &mut Vec<Upload>) {
     for b in q.drain() {
-        uploads[di].push((at, b.tags, b.chunks));
+        uploads.push((at, b.tags, b.chunks));
     }
 }
 
 /// Capture-level outputs that are not the record stream itself: what the
 /// streaming driver returns alongside the records it emits.
+#[derive(Default)]
 pub struct VantageStats {
     /// Number of chunk transfers served by the LAN Sync Protocol (never
     /// seen at the probe).
@@ -311,29 +276,9 @@ pub fn simulate_vantage_audited(
     faults: &FaultPlan,
 ) -> (SimOutput, SyncAudit) {
     let mut audit = SyncAudit::new();
-    let mut flows: Vec<FlowRecord> = Vec::new();
-    let mut truths: Vec<Option<FlowTruth>> = Vec::new();
-    let stats = simulate_span_impl(
-        config,
-        version,
-        seed,
-        faults,
-        0..config.addresses,
-        &mut |rec, truth| {
-            flows.push(rec);
-            truths.push(truth);
-        },
-        Some(&mut audit),
-    );
-    (
-        SpanOutput {
-            flows,
-            truths,
-            stats,
-        }
-        .into_sim_output(config),
-        audit,
-    )
+    let households = 0..config.addresses;
+    let span = collect_span(config, version, seed, faults, households, Some(&mut audit));
+    (span.into_sim_output(config), audit)
 }
 
 /// Materialised output of one household-range span of a capture: the
@@ -381,6 +326,19 @@ pub fn simulate_vantage_span(
     faults: &FaultPlan,
     households: Range<usize>,
 ) -> SpanOutput {
+    collect_span(config, version, seed, faults, households, None)
+}
+
+/// Run the household range `households` and collect its records and
+/// ground truth, recording the sync audit into `audit` when given.
+fn collect_span(
+    config: &VantageConfig,
+    version: ClientVersion,
+    seed: u64,
+    faults: &FaultPlan,
+    households: Range<usize>,
+    audit: Option<&mut SyncAudit>,
+) -> SpanOutput {
     let mut flows: Vec<FlowRecord> = Vec::new();
     let mut truths: Vec<Option<FlowTruth>> = Vec::new();
     let stats = simulate_span_impl(
@@ -393,13 +351,30 @@ pub fn simulate_vantage_span(
             flows.push(rec);
             truths.push(truth);
         },
-        None,
+        audit,
     );
     SpanOutput {
         flows,
         truths,
         stats,
     }
+}
+
+/// Capture-wide inputs every household reads and none writes.
+struct CaptureCtx<'a> {
+    config: &'a VantageConfig,
+    version: ClientVersion,
+    seed: u64,
+    capture: ShardId,
+    faults: &'a FaultPlan,
+    /// The Dropbox zone plus (for non-Dropbox specs) the provider's flat
+    /// deployment.
+    dns: DnsDirectory,
+    /// The client's session state machine; its `retry` policy also paces
+    /// transaction retries and reconnect backoff.
+    session_policy: SessionPolicy,
+    /// Root of the background-provider streams (forked per household).
+    providers_root: Rng,
 }
 
 /// The single driver core every entry point shares: sweeps the requested
@@ -434,22 +409,24 @@ fn simulate_span_impl(
     let pop_root = root_rng.fork_named("population");
     let host_base = population::host_int_base(&pop_root);
     let abnormal = population::abnormal_household(config, &pop_root);
-    let providers_root = root_rng.fork_named("providers");
 
-    // The Dropbox zone plus (for non-Dropbox specs) the provider's flat
-    // deployment. Registration is name-keyed and empty for the Dropbox
-    // spec, so default runs see a byte-identical directory.
+    // Registration is name-keyed and empty for the Dropbox spec, so
+    // default runs see a byte-identical directory.
     let mut dns = DnsDirectory::new();
     for (name, ip) in config.protocol.dns_entries() {
         dns.register(name, ip);
     }
-    let dns = dns;
-    let policy = RetryPolicy::default();
-    let mut stats = VantageStats {
-        lan_synced: 0,
-        truth_users: Vec::new(),
-        fault_stats: FaultStats::default(),
+    let ctx = CaptureCtx {
+        config,
+        version,
+        seed,
+        capture,
+        faults,
+        dns,
+        session_policy: SessionPolicy::default(),
+        providers_root: root_rng.fork_named("providers"),
     };
+    let mut stats = VantageStats::default();
     for idx in households {
         let hh = population::generate_household(
             config,
@@ -459,44 +436,22 @@ fn simulate_span_impl(
             host_base,
             abnormal == Some(idx),
         );
-        simulate_household(
-            config,
-            version,
-            seed,
-            capture,
-            faults,
-            &dns,
-            &policy,
-            idx,
-            &hh,
-            &providers_root,
-            &mut stats,
-            emit,
-            audit.as_deref_mut(),
-        );
+        simulate_household(&ctx, idx, &hh, &mut stats, emit, audit.as_deref_mut());
     }
     stats
 }
 
-/// Play one household's whole capture — registration, commit ordering,
-/// propagation, rendered device flows, web/API usage, and background
-/// providers. Every random draw descends from the household's own stream
-/// ([`par::household_stream`]) and every piece of mutable state (metadata
-/// plane, chunk store, monitor, ephemeral-port counter, LAN subnet) is
-/// household-local, so households can be grouped into ranges arbitrarily
-/// without any of them observing the cut.
-#[allow(clippy::too_many_arguments)]
+/// Play one household's whole capture: register → order commits →
+/// propagate → render devices → web → background. Every random draw
+/// descends from the household's own stream ([`par::household_stream`])
+/// and every piece of mutable state (metadata plane, chunk store, monitor,
+/// ephemeral-port counter, LAN subnet) is household-local, so households
+/// can be grouped into ranges arbitrarily without any of them observing
+/// the cut.
 fn simulate_household(
-    config: &VantageConfig,
-    version: ClientVersion,
-    seed: u64,
-    capture: ShardId,
-    faults: &FaultPlan,
-    dns: &DnsDirectory,
-    policy: &RetryPolicy,
+    ctx: &CaptureCtx,
     idx: usize,
     hh: &Household,
-    providers_root: &Rng,
     stats: &mut VantageStats,
     emit: &mut dyn FnMut(FlowRecord, Option<FlowTruth>),
     mut audit: Option<&mut SyncAudit>,
@@ -504,31 +459,100 @@ fn simulate_household(
     // Every stream below descends from this one: a pure function of
     // (capture seed, capture id, household index) — never of the range
     // cut, the worker, or `--jobs` (simlint's `shard-seed` rule).
-    let hh_rng = par::household_stream(seed, capture, idx as u64);
-    let mut fault_stats = FaultStats::default();
-    // Per-household monitor: `play` below observes each flow's DNS name
-    // just before processing the flow, so name→address labelling never
-    // depends on what other households resolved.
-    let mut monitor = Monitor::new(config.expose_dns);
-    // Ephemeral client ports count per household (each client churns its
-    // own source ports), so flow keys are independent of range grouping.
-    let mut port_counter: u32 = 0;
-    // Dedicated stream for per-flow link-fault decisions, so fault draws
-    // never perturb the schedule/content/render streams.
-    let mut link_fault_rng = hh_rng.fork_named("faults");
-    let mut scratch: Vec<nettrace::Packet> = Vec::new();
+    let hh_rng = par::household_stream(ctx.seed, ctx.capture, idx as u64);
+    let mut player = FlowPlayer::new(ctx, hh, &hh_rng, emit);
+    let fault_stats = &mut stats.fault_stats;
+    if let Some(behavior) = hh.behavior {
+        let mut plane = register(ctx.config, idx, hh, behavior, &hh_rng);
+        stats
+            .truth_users
+            .push(hh.devices.iter().map(|d| d.host_int).collect());
+        let commits = order_commits(ctx.config, &mut plane, &hh_rng);
+        let (queues, lan_synced) = propagate(
+            ctx.faults,
+            &plane,
+            &commits,
+            &hh_rng,
+            fault_stats,
+            audit.as_deref_mut(),
+        );
+        stats.lan_synced += lan_synced;
+        render_devices(
+            ctx,
+            &plane,
+            queues,
+            &hh_rng,
+            &mut player,
+            fault_stats,
+            audit.as_deref_mut(),
+        );
+        // The household's final chunk-store content: the durability side
+        // of the convergence oracle checks every flushed commit's live
+        // chunks against this snapshot.
+        if let Some(a) = audit {
+            a.snapshot_store(plane.store.ids());
+        }
+    }
+    web_flows(ctx.config, hh, &hh_rng, &mut player);
+    // Background provider traffic.
+    let mut prng = ctx.providers_root.fork(idx as u64);
+    providers::household_flows(ctx.config, hh, &mut prng, &mut |rec| {
+        (player.emit)(rec, None)
+    });
+}
 
-    let mut play = |spec: &FlowSpec, at: SimTime, day: u32, rng: &mut Rng| {
-        let Some(server_ip) = dns.resolve(&spec.server_name) else {
+/// Carries rendered flows through the network model onto the household's
+/// monitor and hands every finished record, with its truth, to `emit`.
+struct FlowPlayer<'a> {
+    ctx: &'a CaptureCtx<'a>,
+    hh: &'a Household,
+    /// Per-household monitor: [`FlowPlayer::play`] observes each flow's
+    /// DNS name just before processing the flow, so name→address
+    /// labelling never depends on what other households resolved.
+    monitor: Monitor,
+    /// Ephemeral client ports count per household (each client churns its
+    /// own source ports), so flow keys are independent of range grouping.
+    port_counter: u32,
+    /// Dedicated stream for per-flow link-fault decisions, so fault draws
+    /// never perturb the schedule/content/render streams.
+    link_fault_rng: Rng,
+    scratch: Vec<Packet>,
+    emit: &'a mut dyn FnMut(FlowRecord, Option<FlowTruth>),
+}
+
+impl<'a> FlowPlayer<'a> {
+    fn new(
+        ctx: &'a CaptureCtx<'a>,
+        hh: &'a Household,
+        hh_rng: &Rng,
+        emit: &'a mut dyn FnMut(FlowRecord, Option<FlowTruth>),
+    ) -> Self {
+        FlowPlayer {
+            ctx,
+            hh,
+            monitor: Monitor::new(ctx.config.expose_dns),
+            port_counter: 0,
+            link_fault_rng: hh_rng.fork_named("faults"),
+            scratch: Vec::new(),
+            emit,
+        }
+    }
+
+    /// Play `spec` starting at `at` on capture day `day`, drawing the path
+    /// and the TCP model's randomness from `rng`. Flows to names the
+    /// directory cannot resolve are dropped.
+    fn play(&mut self, spec: &FlowSpec, at: SimTime, day: u32, rng: &mut Rng) {
+        let config = self.ctx.config;
+        let Some(server_ip) = self.ctx.dns.resolve(&spec.server_name) else {
             return;
         };
-        monitor.observe_dns(&spec.server_name, server_ip);
-        port_counter = port_counter.wrapping_add(1);
-        let client = Endpoint::new(hh.ip, (10_000 + (port_counter % 50_000)) as u16);
+        self.monitor.observe_dns(&spec.server_name, server_ip);
+        self.port_counter = self.port_counter.wrapping_add(1);
+        let client = Endpoint::new(self.hh.ip, (10_000 + (self.port_counter % 50_000)) as u16);
         let server = Endpoint::new(server_ip, spec.port);
         // Small household-stable spread on top of the base RTT so the
         // CDFs of Fig. 6 show the narrow band the paper measures.
-        let spread = SimDuration::from_millis((hh.ip.0 as u64 * 7) % 6);
+        let spread = SimDuration::from_millis((self.hh.ip.0 as u64 * 7) % 6);
         // The storage/control RTT split of Fig. 6, plus the provider's
         // datacenter-placement surcharge (zero for Dropbox, whose measured
         // RTTs *are* the baseline).
@@ -539,20 +563,18 @@ fn simulate_household(
             } else {
                 config.control_rtt_on(day) + placement.control_extra()
             };
-        let path = config.path(hh.access, outer, rng);
-        let tcp = match spec.truth {
-            _ if matches!(spec.truth, FlowTruth::Notification) => TcpParams::era_2012_v1(),
-            _ => match version {
-                ClientVersion::V1_2_52 => TcpParams::era_2012_v1(),
-                ClientVersion::V1_4_0 => TcpParams::era_2012_v14(),
-            },
+        let path = config.path(self.hh.access, outer, rng);
+        let tcp = match (&spec.truth, self.ctx.version) {
+            (FlowTruth::Notification, _) | (_, ClientVersion::V1_2_52) => TcpParams::era_2012_v1(),
+            (_, ClientVersion::V1_4_0) => TcpParams::era_2012_v14(),
         };
         // Merge the flow's intrinsic faults (e.g. a recovering upload's
         // scripted reset) with link-level faults drawn from the plan. An
         // inactive plan draws nothing and yields no link faults, so
         // `merged` is the spec's own profile (normally `None`).
-        let merged = FlowFaults::merged(spec.faults, faults.link_faults(&mut link_fault_rng));
-        scratch.clear();
+        let link = self.ctx.faults.link_faults(&mut self.link_fault_rng);
+        let merged = FlowFaults::merged(spec.faults, link);
+        self.scratch.clear();
         simulate_faulty(
             at,
             FlowKey::new(client, server),
@@ -561,920 +583,927 @@ fn simulate_household(
             &tcp,
             merged.as_ref(),
             rng,
-            &mut scratch,
+            &mut self.scratch,
         );
-        if let Some(rec) = monitor.process_flow(&scratch) {
-            emit(rec, Some(spec.truth.clone()));
+        if let Some(rec) = self.monitor.process_flow(&self.scratch) {
+            (self.emit)(rec, Some(spec.truth.clone()));
         }
-    };
+    }
+}
 
-    // ---- Dropbox sync planes (client households only) -------------------
-    if let Some(behavior) = hh.behavior {
-        // Household-local server state. Namespace ids allocate from a
-        // per-household base so the merged capture still looks like one
-        // metadata plane; chunk contents are household-unique, so a local
-        // chunk store dedups exactly as a capture-wide one would.
-        let store = ChunkStore::new();
-        let mut md = MetadataServer::with_ns_base(((idx as u64) + 1) << 32);
-        let user = UserId(1_000 + idx as u64);
-        let mut sched_rng = hh_rng.fork_named("schedules");
+/// A household's registered sync plane: household-local server state and
+/// the flattened devices. Namespace ids allocate from a per-household
+/// base so the merged capture still looks like one metadata plane; chunk
+/// contents are household-unique, so a local chunk store dedups exactly
+/// as a capture-wide one would.
+struct SyncPlane {
+    store: ChunkStore,
+    md: MetadataServer,
+    devs: Vec<Dev>,
+    /// Member devices (indices into `devs`) of each namespace.
+    ns_members: BTreeMap<NamespaceId, Vec<usize>>,
+    /// Namespaces that producers outside the household commit into.
+    fed_namespaces: Vec<NamespaceId>,
+}
 
-        // ---- Register devices and namespaces ----------------------------
-        let mut devs: Vec<Dev> = Vec::new();
-        let mut ns_members: BTreeMap<NamespaceId, Vec<usize>> = BTreeMap::new();
-        let mut fed_namespaces: Vec<NamespaceId> = Vec::new();
+/// Phase 1: register the household's devices and namespaces with the
+/// metadata plane and schedule every device's sessions.
+fn register(
+    config: &VantageConfig,
+    idx: usize,
+    hh: &Household,
+    behavior: Behavior,
+    hh_rng: &Rng,
+) -> SyncPlane {
+    let mut md = MetadataServer::with_ns_base(((idx as u64) + 1) << 32);
+    let user = UserId(1_000 + idx as u64);
+    let mut sched_rng = hh_rng.fork_named("schedules");
+    let mut devs: Vec<Dev> = Vec::new();
+    let mut ns_members: BTreeMap<NamespaceId, Vec<usize>> = BTreeMap::new();
+    let mut fed_namespaces: Vec<NamespaceId> = Vec::new();
 
-        // Shared-folder pool of the household: enough folders so that the
-        // most connected device reaches its namespace count.
-        let max_ns = hh
-            .devices
-            .iter()
-            .map(|d| d.namespace_count)
-            .max()
-            .unwrap_or(1);
-        // Shared-folder pool of the household, created unlinked; devices
-        // join exactly the folders their namespace count calls for.
-        let mut pool: Vec<NamespaceId> = Vec::new();
-        while pool.len() < max_ns.saturating_sub(1) {
-            let ns = md.create_namespace_unlinked();
-            // External feed probability by behaviour: download-only
-            // households subscribe to folders produced elsewhere.
-            let fed_p = match behavior {
+    // Shared-folder pool of the household, created unlinked: enough
+    // folders that the most connected device reaches its namespace count;
+    // devices join exactly the folders their namespace count calls for.
+    let max_ns = hh
+        .devices
+        .iter()
+        .map(|d| d.namespace_count)
+        .max()
+        .unwrap_or(1);
+    let mut pool: Vec<NamespaceId> = Vec::new();
+    while pool.len() < max_ns.saturating_sub(1) {
+        let ns = md.create_namespace_unlinked();
+        // External feed probability by behaviour: download-only
+        // households subscribe to folders produced elsewhere.
+        let fed_p = match behavior {
+            Behavior::DownloadOnly => 0.85,
+            Behavior::Heavy => 0.50,
+            Behavior::UploadOnly => 0.10,
+            Behavior::Occasional => 0.03,
+        };
+        if sched_rng.chance(fed_p) {
+            fed_namespaces.push(ns);
+        }
+        pool.push(ns);
+    }
+    for (di, d) in hh.devices.iter().enumerate() {
+        let host = HostInt(d.host_int);
+        let root = md.register_host(user, host);
+        // Download-only (and some heavy) accounts receive content into
+        // their *root* from their own unmonitored devices elsewhere — the
+        // mirror image of the paper's upload-only users submitting "to
+        // geographically dispersed devices".
+        if di == 0 {
+            let root_fed_p = match behavior {
                 Behavior::DownloadOnly => 0.85,
-                Behavior::Heavy => 0.50,
-                Behavior::UploadOnly => 0.10,
-                Behavior::Occasional => 0.03,
+                Behavior::Heavy => 0.35,
+                _ => 0.0,
             };
-            if sched_rng.chance(fed_p) {
-                fed_namespaces.push(ns);
+            if root_fed_p > 0.0 && sched_rng.chance(root_fed_p) {
+                fed_namespaces.push(root);
             }
-            pool.push(ns);
         }
-        stats
-            .truth_users
-            .push(hh.devices.iter().map(|d| d.host_int).collect());
-        let mut root_marked = false;
-        for d in hh.devices.iter() {
-            let host = HostInt(d.host_int);
-            let root = md.register_host(user, host);
-            // Download-only (and some heavy) accounts receive content into
-            // their *root* from their own unmonitored devices elsewhere —
-            // the mirror image of the paper's upload-only users submitting
-            // "to geographically dispersed devices".
-            if !root_marked {
-                root_marked = true;
-                let root_fed_p = match behavior {
-                    Behavior::DownloadOnly => 0.85,
-                    Behavior::Heavy => 0.35,
-                    _ => 0.0,
-                };
-                if root_fed_p > 0.0 && sched_rng.chance(root_fed_p) {
-                    fed_namespaces.push(root);
-                }
-            }
-            // Link this device to the first (namespace_count - 1) folders.
-            let mut nss = vec![root];
-            for &ns in pool.iter().take(d.namespace_count.saturating_sub(1)) {
-                md.link_namespace(host, ns);
-                nss.push(ns);
-            }
-            let local_idx = devs.len();
-            for &ns in &nss {
-                ns_members.entry(ns).or_default().push(local_idx);
-            }
-            let sessions =
-                device_sessions(config.kind, d, config.days, &mut sched_rng.fork(d.host_int));
-            devs.push(Dev {
-                host_int: host,
-                namespaces: nss,
-                sessions,
-                behavior,
-                version: d.version,
-                abnormal: d.abnormal_uploader,
-                nat_afflicted: d.nat_afflicted,
-                workstation: d.workstation,
-            });
+        // Link this device to the first (namespace_count - 1) folders.
+        let mut nss = vec![root];
+        for &ns in pool.iter().take(d.namespace_count.saturating_sub(1)) {
+            md.link_namespace(host, ns);
+            nss.push(ns);
         }
+        for &ns in &nss {
+            ns_members.entry(ns).or_default().push(di);
+        }
+        let sessions =
+            device_sessions(config.kind, d, config.days, &mut sched_rng.fork(d.host_int));
+        devs.push(Dev {
+            host_int: host,
+            namespaces: nss,
+            sessions,
+            behavior,
+            version: d.version,
+            abnormal: d.abnormal_uploader,
+            nat_afflicted: d.nat_afflicted,
+        });
+    }
+    SyncPlane {
+        store: ChunkStore::new(),
+        md,
+        devs,
+        ns_members,
+        fed_namespaces,
+    }
+}
 
-        // ---- Phase A: the household's commits in time order -----------------
-        let mut commit_rng = hh_rng.fork_named("commits");
-        let mut raw_events: Vec<(SimTime, usize, FileEvent)> = Vec::new();
-        for (di, dev) in devs.iter().enumerate() {
-            if dev.abnormal {
-                continue; // handled separately
-            }
-            for s in &dev.sessions {
-                for e in file_events(dev.behavior, s, &mut commit_rng) {
-                    raw_events.push((e.at, di, e));
-                }
-            }
+/// Phase 2: materialise the household's commits — local file events and
+/// external-producer commits on fed namespaces — chronologically, so edits
+/// see a consistent file registry per namespace.
+fn order_commits(config: &VantageConfig, plane: &mut SyncPlane, hh_rng: &Rng) -> Vec<Commit> {
+    let mut commit_rng = hh_rng.fork_named("commits");
+    let devs = &plane.devs;
+    let mut raw_events: Vec<(SimTime, usize, FileEvent)> = Vec::new();
+    for (di, dev) in devs.iter().enumerate() {
+        if dev.abnormal {
+            continue; // rendered separately, per session
         }
-        // External producer commits on fed namespaces.
-        let mut external: Vec<(SimTime, NamespaceId)> = Vec::new();
-        for &ns in &fed_namespaces {
-            let rate_per_day = 1.5;
-            let mut t_days = 0.0;
-            loop {
-                t_days += dist::exponential(&mut commit_rng, rate_per_day);
-                if t_days >= config.days as f64 {
-                    break;
-                }
-                external.push((SimTime::from_micros((t_days * 86_400.0 * 1e6) as u64), ns));
+        for s in &dev.sessions {
+            for e in file_events(dev.behavior, s, &mut commit_rng) {
+                raw_events.push((e.at, di, e));
             }
         }
-
-        // Materialise commits chronologically so edits see a consistent file
-        // registry per namespace.
-        #[derive(Clone)]
-        struct FileState {
-            content: Content,
-            chunk_ids: Vec<ChunkId>,
+    }
+    // External producer commits on fed namespaces.
+    let mut external: Vec<(SimTime, NamespaceId)> = Vec::new();
+    for &ns in &plane.fed_namespaces {
+        let rate_per_day = 1.5;
+        let mut t_days = 0.0;
+        loop {
+            t_days += dist::exponential(&mut commit_rng, rate_per_day);
+            if t_days >= config.days as f64 {
+                break;
+            }
+            external.push((SimTime::from_micros((t_days * 86_400.0 * 1e6) as u64), ns));
         }
-        let mut ns_files: BTreeMap<NamespaceId, Vec<FileState>> = BTreeMap::new();
-        let mut next_seed: u64 = hh_rng.fork_named("contentseed").next_u64() | 1;
-        let mut next_file: u64 = 1;
+    }
 
-        enum RawCommit {
-            Local(usize, FileEvent),
-            External(NamespaceId),
-        }
-        let mut ordered: Vec<(SimTime, RawCommit)> = raw_events
-            .into_iter()
-            .map(|(t, di, e)| (t, RawCommit::Local(di, e)))
-            .chain(
-                external
-                    .into_iter()
-                    .map(|(t, ns)| (t, RawCommit::External(ns))),
-            )
-            .collect();
-        ordered.sort_by_key(|(t, _)| *t);
+    struct FileState {
+        content: Content,
+        chunk_ids: Vec<ChunkId>,
+    }
+    let mut ns_files: BTreeMap<NamespaceId, Vec<FileState>> = BTreeMap::new();
+    let mut next_seed: u64 = hh_rng.fork_named("contentseed").next_u64() | 1;
+    let mut next_file: u64 = 1;
 
-        let mut commits: Vec<Commit> = Vec::new();
-        for (t, raw) in ordered {
-            let (ns, committer, kind, is_edit) = match &raw {
-                RawCommit::Local(di, e) => {
-                    let dev = &devs[*di];
-                    // Root namespace favoured for personal files.
-                    let ns = if dev.namespaces.len() == 1 || commit_rng.chance(0.5) {
-                        dev.namespaces[0]
-                    } else {
-                        dev.namespaces[1 + commit_rng.below_usize(dev.namespaces.len() - 1)]
-                    };
-                    (ns, Some(*di), e.kind, e.is_edit)
-                }
-                RawCommit::External(ns) => {
-                    // Collaborators elsewhere both add and edit; the kind mix
-                    // matches ordinary users.
-                    let kind = {
-                        let u = commit_rng.f64();
-                        if u < 0.42 {
-                            dropbox::content::ContentKind::Text
-                        } else if u < 0.75 {
-                            dropbox::content::ContentKind::Document
-                        } else {
-                            dropbox::content::ContentKind::Media
-                        }
-                    };
-                    (*ns, None, kind, commit_rng.chance(0.5))
-                }
-            };
-            let files = ns_files.entry(ns).or_default();
-            // A change event usually touches several files at once (saving a
-            // project, dropping a folder): 1 + geometric burst.
-            let burst = 1 + simcore::dist::geometric(&mut commit_rng, 0.38) as usize;
-            let mut chunks: Vec<ChunkWork> = Vec::new();
-            let mut superseded: Vec<ChunkId> = Vec::new();
-            for b in 0..burst {
-                let edit_this = (is_edit || b > 0 && commit_rng.chance(0.5)) && !files.is_empty();
-                if edit_this {
-                    let fi = commit_rng.below_usize(files.len());
-                    let frac = (0.03 + commit_rng.f64() * 0.30).min(1.0);
-                    let (next, changed) = files[fi].content.edit(frac, &mut commit_rng);
-                    for &ci in &changed {
-                        let id = next.chunk_id(ci);
-                        superseded.push(files[fi].chunk_ids[ci as usize]);
-                        files[fi].chunk_ids[ci as usize] = id;
-                        chunks.push(ChunkWork {
-                            id,
-                            // Delta-capable providers ship the rsync-style
-                            // delta; the rest re-upload the whole chunk.
-                            wire_bytes: if config.protocol.delta {
-                                next.delta_wire_size(ci, frac)
-                            } else {
-                                next.wire_chunk_size(ci)
-                            },
-                            raw_bytes: next.chunk_size(ci),
-                        });
-                    }
-                    files[fi].content = next;
+    enum RawCommit {
+        Local(usize, FileEvent),
+        External(NamespaceId),
+    }
+    let mut ordered: Vec<(SimTime, RawCommit)> = raw_events
+        .into_iter()
+        .map(|(t, di, e)| (t, RawCommit::Local(di, e)))
+        .chain(
+            external
+                .into_iter()
+                .map(|(t, ns)| (t, RawCommit::External(ns))),
+        )
+        .collect();
+    ordered.sort_by_key(|(t, _)| *t);
+
+    let mut commits: Vec<Commit> = Vec::new();
+    for (t, raw) in ordered {
+        let (ns, committer, kind, is_edit) = match &raw {
+            RawCommit::Local(di, e) => {
+                let dev = &devs[*di];
+                // Root namespace favoured for personal files.
+                let ns = if dev.namespaces.len() == 1 || commit_rng.chance(0.5) {
+                    dev.namespaces[0]
                 } else {
-                    next_seed = next_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                    let size = sample_file_size(kind, &mut commit_rng);
-                    let content = Content::with_chunk_size(
-                        next_seed,
-                        size,
-                        kind,
-                        config.protocol.chunk_bytes,
-                    );
-                    let ids = content.chunk_ids();
-                    for (i, &id) in ids.iter().enumerate() {
-                        chunks.push(ChunkWork {
-                            id,
-                            wire_bytes: content.wire_chunk_size(i as u32),
-                            raw_bytes: content.chunk_size(i as u32),
-                        });
+                    dev.namespaces[1 + commit_rng.below_usize(dev.namespaces.len() - 1)]
+                };
+                (ns, Some(*di), e.kind, e.is_edit)
+            }
+            RawCommit::External(ns) => {
+                // Collaborators elsewhere both add and edit; the kind mix
+                // matches ordinary users.
+                let kind = {
+                    let u = commit_rng.f64();
+                    if u < 0.42 {
+                        dropbox::content::ContentKind::Text
+                    } else if u < 0.75 {
+                        dropbox::content::ContentKind::Document
+                    } else {
+                        dropbox::content::ContentKind::Media
                     }
-                    next_file += 1;
-                    // Journal bookkeeping on the meta-data plane.
-                    if let Some(nsm) = md.namespace_mut(ns) {
-                        nsm.commit(FileId(next_file), content, ids.clone());
-                    }
-                    files.push(FileState {
-                        content,
-                        chunk_ids: ids,
+                };
+                (*ns, None, kind, commit_rng.chance(0.5))
+            }
+        };
+        let files = ns_files.entry(ns).or_default();
+        // A change event usually touches several files at once (saving a
+        // project, dropping a folder): 1 + geometric burst.
+        let burst = 1 + simcore::dist::geometric(&mut commit_rng, 0.38) as usize;
+        let mut chunks: Vec<ChunkWork> = Vec::new();
+        let mut superseded: Vec<ChunkId> = Vec::new();
+        for b in 0..burst {
+            let edit_this = (is_edit || b > 0 && commit_rng.chance(0.5)) && !files.is_empty();
+            if edit_this {
+                let fi = commit_rng.below_usize(files.len());
+                let frac = (0.03 + commit_rng.f64() * 0.30).min(1.0);
+                let (next, changed) = files[fi].content.edit(frac, &mut commit_rng);
+                for &ci in &changed {
+                    let id = next.chunk_id(ci);
+                    superseded.push(files[fi].chunk_ids[ci as usize]);
+                    files[fi].chunk_ids[ci as usize] = id;
+                    chunks.push(ChunkWork {
+                        id,
+                        // Delta-capable providers ship the rsync-style
+                        // delta; the rest re-upload the whole chunk.
+                        wire_bytes: if config.protocol.delta {
+                            next.delta_wire_size(ci, frac)
+                        } else {
+                            next.wire_chunk_size(ci)
+                        },
+                        raw_bytes: next.chunk_size(ci),
                     });
                 }
-            }
-            if chunks.is_empty() {
-                continue;
-            }
-            commits.push(Commit {
-                at: t,
-                ns,
-                committer,
-                chunks,
-                superseded,
-            });
-        }
-
-        // ---- Phase B: propagate commits to members -------------------------
-        // The household runs the LAN Sync Protocol on its subnet: on-line
-        // devices broadcast discovery announcements and serve chunks they hold
-        // to peers sharing the namespace, keeping that traffic off the WAN.
-        //
-        // Under control-plane faults a commit may not become *visible* at
-        // its commit time: while the metadata plane refuses writes, local
-        // commits wait in the committer's bounded offline queue (with
-        // coalescing of superseded edits) and flush at the first on-line
-        // instant after recovery; external producers' commits land as soon
-        // as the plane returns. Members propagate from the visibility
-        // instant, not the commit instant.
-        let ctrl_active = faults.has_control_plane();
-        let mut queues: Vec<DeviceQueue> =
-            (0..devs.len()).map(|_| DeviceQueue::default()).collect();
-        let mut uploads: Vec<Vec<(SimTime, Vec<u64>, Vec<ChunkWork>)>> =
-            vec![Vec::new(); devs.len()];
-        let mut lan = LanSync::default();
-        let mut prop_rng = hh_rng.fork_named("propagation");
-        const OFFLINE_QUEUE_CAP: usize = 6;
-        let mut offline: Vec<OfflineQueue> = (0..devs.len())
-            .map(|_| OfflineQueue::new(OFFLINE_QUEUE_CAP))
-            .collect();
-        let mut offline_flush: Vec<Option<SimTime>> = vec![None; devs.len()];
-        // Ledger-wide ids of this household's commits.
-        let cid_base = audit.as_ref().map(|a| a.commit_count()).unwrap_or(0);
-
-        for (local_id, c) in commits.iter().enumerate() {
-            let cid = cid_base + local_id as u64;
-            let deferred = ctrl_active && !faults.meta_available(c.at);
-            let mut flush_at: Option<SimTime> = None;
-            let mut never_flushed = false;
-            let visible_at = if !deferred {
-                c.at
+                files[fi].content = next;
             } else {
-                match c.committer {
-                    Some(di) => match flush_time(&devs[di], c.at, faults) {
-                        Some(f) => {
-                            flush_at = Some(f);
-                            f
-                        }
-                        None => {
-                            never_flushed = true;
-                            c.at
-                        }
-                    },
-                    // External producers commit from elsewhere; their
-                    // changes land the moment the plane recovers.
-                    None => meta_recovery(faults, c.at),
+                next_seed = next_seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let size = sample_file_size(kind, &mut commit_rng);
+                let content =
+                    Content::with_chunk_size(next_seed, size, kind, config.protocol.chunk_bytes);
+                let ids = content.chunk_ids();
+                for (i, &id) in ids.iter().enumerate() {
+                    chunks.push(ChunkWork {
+                        id,
+                        wire_bytes: content.wire_chunk_size(i as u32),
+                        raw_bytes: content.chunk_size(i as u32),
+                    });
                 }
-            };
-            if let Some(a) = audit.as_deref_mut() {
-                a.push_commit(CommitRecord {
-                    id: cid,
-                    ns: c.ns.0,
-                    at: c.at,
-                    visible_at,
-                    committer: c.committer.map(|di| devs[di].host_int.0),
-                    chunks: c.chunks.iter().map(|w| w.id).collect(),
-                    deferred,
+                next_file += 1;
+                // Journal bookkeeping on the meta-data plane.
+                if let Some(nsm) = plane.md.namespace_mut(ns) {
+                    nsm.commit(FileId(next_file), content, ids.clone());
+                }
+                files.push(FileState {
+                    content,
+                    chunk_ids: ids,
                 });
-                if never_flushed {
-                    a.excuse_commit(cid, Excuse::NeverFlushed);
-                }
             }
-            if let Some(di) = c.committer {
-                if never_flushed {
-                    // The committer's capture ends before the metadata plane
-                    // recovers: the commit never reaches the server.
-                    fault_stats.offline_commits += 1;
-                } else {
-                    match flush_at {
-                        None => uploads[di].push((c.at, vec![cid], c.chunks.clone())),
-                        Some(f) => {
-                            // Queue through the outage. A new flush instant
-                            // means a new outage window: drain the batches
-                            // headed for the earlier one first.
-                            if let Some(f0) = offline_flush[di] {
-                                if f0 != f {
-                                    flush_queue(&mut offline[di], f0, di, &mut uploads);
-                                }
+        }
+        if chunks.is_empty() {
+            continue;
+        }
+        commits.push(Commit {
+            at: t,
+            ns,
+            committer,
+            chunks,
+            superseded,
+        });
+    }
+    commits
+}
+
+/// Phase 3: propagate every commit to its namespace's members and return
+/// each device's queued work plus the number of chunks the LAN served.
+///
+/// The household runs the LAN Sync Protocol on its subnet: on-line
+/// devices broadcast discovery announcements and serve chunks they hold
+/// to peers sharing the namespace, keeping that traffic off the WAN.
+///
+/// Under control-plane faults a commit may not become *visible* at its
+/// commit time: while the metadata plane refuses writes, local commits
+/// wait in the committer's bounded offline queue (with coalescing of
+/// superseded edits) and flush at the first on-line instant after
+/// recovery; external producers' commits land as soon as the plane
+/// returns. Members propagate from the visibility instant, not the commit
+/// instant. Members that are off-line then receive the commit in the
+/// login burst of their next session; commits after a device's last
+/// session never sync (the capture ends first), as in reality — the audit
+/// excuses them explicitly so the oracle can tell "capture ended" from
+/// "delivery lost".
+fn propagate(
+    faults: &FaultPlan,
+    plane: &SyncPlane,
+    commits: &[Commit],
+    hh_rng: &Rng,
+    fault_stats: &mut FaultStats,
+    mut audit: Option<&mut SyncAudit>,
+) -> (Vec<DeviceQueue>, u64) {
+    let devs = &plane.devs;
+    let mut queues: Vec<DeviceQueue> = (0..devs.len()).map(|_| DeviceQueue::default()).collect();
+    let mut lan = LanSync::default();
+    let mut prop_rng = hh_rng.fork_named("propagation");
+    const OFFLINE_QUEUE_CAP: usize = 6;
+    let mut offline: Vec<OfflineQueue> = (0..devs.len())
+        .map(|_| OfflineQueue::new(OFFLINE_QUEUE_CAP))
+        .collect();
+    let mut offline_flush: Vec<Option<SimTime>> = vec![None; devs.len()];
+    // Ledger-wide ids of this household's commits.
+    let cid_base = audit.as_ref().map(|a| a.commit_count()).unwrap_or(0);
+
+    for (local_id, c) in commits.iter().enumerate() {
+        let cid = cid_base + local_id as u64;
+        let deferred = !faults.meta_available(c.at);
+        // A deferred local commit becomes visible when its committer
+        // flushes (`None`: never); external producers commit from
+        // elsewhere, so their changes land the moment the plane recovers.
+        let (visible, flush_at) = match c.committer {
+            _ if !deferred => (Some(c.at), None),
+            Some(di) => {
+                let f = flush_time(&devs[di], c.at, faults);
+                (f, f)
+            }
+            None => (Some(meta_recovery(faults, c.at)), None),
+        };
+        let never_flushed = visible.is_none();
+        let visible_at = visible.unwrap_or(c.at);
+        if let Some(a) = audit.as_deref_mut() {
+            a.push_commit(CommitRecord {
+                id: cid,
+                ns: c.ns.0,
+                at: c.at,
+                visible_at,
+                committer: c.committer.map(|di| devs[di].host_int.0),
+                chunks: c.chunks.iter().map(|w| w.id).collect(),
+                deferred,
+            });
+            if never_flushed {
+                a.excuse_commit(cid, Excuse::NeverFlushed);
+            }
+        }
+        if let Some(di) = c.committer {
+            if never_flushed {
+                // The committer's capture ends before the metadata plane
+                // recovers: the commit never reaches the server.
+                fault_stats.offline_commits += 1;
+            } else {
+                match flush_at {
+                    None => queues[di].uploads.push((c.at, vec![cid], c.chunks.clone())),
+                    Some(f) => {
+                        // Queue through the outage. A new flush instant
+                        // means a new outage window: drain the batches
+                        // headed for the earlier one first.
+                        if let Some(f0) = offline_flush[di] {
+                            if f0 != f {
+                                flush_queue(&mut offline[di], f0, &mut queues[di].uploads);
                             }
-                            offline[di].push(c.at, cid, c.chunks.clone(), &c.superseded);
-                            offline_flush[di] = Some(f);
-                            fault_stats.offline_commits += 1;
                         }
-                    }
-                    // The committer holds the chunks and, while on-line,
-                    // announces itself on the household subnet — but only
-                    // once the commit is visible: LAN peers discover changes
-                    // through the metadata journal.
-                    let dev = &devs[di];
-                    if dev.session_containing(visible_at).is_some() {
-                        lan.announce(Announcement {
-                            host: dev.host_int,
-                            namespaces: dev.namespaces.clone(),
-                            at: visible_at,
-                        });
-                    }
-                    for w in &c.chunks {
-                        lan.chunk_available(dev.host_int, w.id);
+                        offline[di].push(c.at, cid, c.chunks.clone(), &c.superseded);
+                        offline_flush[di] = Some(f);
+                        fault_stats.offline_commits += 1;
                     }
                 }
-            }
-            let members = ns_members.get(&c.ns).cloned().unwrap_or_default();
-            for m in members {
-                if Some(m) == c.committer {
-                    continue;
-                }
-                let dev = &devs[m];
-                if let Some(a) = audit.as_deref_mut() {
-                    a.expect_delivery(cid, dev.host_int.0);
-                }
-                if never_flushed {
-                    continue; // excused above: the commit never synced
-                }
+                // The committer holds the chunks and, while on-line,
+                // announces itself on the household subnet — but only once
+                // the commit is visible: LAN peers discover changes through
+                // the metadata journal.
+                let dev = &devs[di];
                 if dev.session_containing(visible_at).is_some() {
-                    // On-line member: ask the LAN first (Sec. 5.2), then fall
-                    // back to a cloud retrieve.
-                    let pairs: Vec<(ChunkId, u64)> =
-                        c.chunks.iter().map(|w| (w.id, w.raw_bytes)).collect();
-                    if lan
-                        .try_serve(dev.host_int, c.ns, &pairs, visible_at)
-                        .is_some()
-                    {
-                        if let Some(a) = audit.as_deref_mut() {
-                            a.deliver(cid, dev.host_int.0, visible_at, DeliveryKind::Lan);
-                        }
-                        continue;
-                    }
-                    let mut delay = SimDuration::from_secs(prop_rng.range_u64(2, 25));
-                    if ctrl_active {
-                        if !faults.notify_available(visible_at) {
-                            // The push is lost: the member learns of the
-                            // change from a fallback metadata poll instead.
-                            delay += SimDuration::from_millis(prop_rng.range_u64(30_000, 120_000));
-                        } else if faults.degraded_at(visible_at) {
-                            // Elevated 5xx rates delay the push.
-                            delay += SimDuration::from_millis(faults.notify_delay_ms as u64);
-                        }
-                    }
-                    queues[m]
-                        .online_downloads
-                        .push((visible_at + delay, cid, c.chunks.clone()));
-                    // Once the cloud retrieve lands, this device can serve the
-                    // chunks to later peers on its LAN.
-                    for w in &c.chunks {
-                        lan.chunk_available(dev.host_int, w.id);
-                    }
                     lan.announce(Announcement {
                         host: dev.host_int,
                         namespaces: dev.namespaces.clone(),
                         at: visible_at,
                     });
-                } else {
-                    queues[m].pending.push((visible_at, cid, c.chunks.clone()));
+                }
+                for w in &c.chunks {
+                    lan.chunk_available(dev.host_int, w.id);
                 }
             }
         }
-        // Drain every offline queue still holding batches: its flush
-        // instant was computed against the committer's sessions, so the
-        // drain lands inside one.
-        for di in 0..devs.len() {
-            if let Some(f) = offline_flush[di] {
-                flush_queue(&mut offline[di], f, di, &mut uploads);
+        let members = plane
+            .ns_members
+            .get(&c.ns)
+            .map(Vec::as_slice)
+            .unwrap_or(&[]);
+        for &m in members {
+            if Some(m) == c.committer {
+                continue;
             }
-        }
-        for q in &offline {
+            let dev = &devs[m];
             if let Some(a) = audit.as_deref_mut() {
-                a.superseded_chunks(q.superseded_ids());
-                for &tag in q.coalesced_tags() {
-                    a.excuse_commit(tag, Excuse::CoalescedAway);
-                }
-                if !q.is_empty() {
-                    a.residual_batches(q.len() as u64);
-                }
+                a.expect_delivery(cid, dev.host_int.0);
             }
-        }
-        if ctrl_active {
-            // Deferred flushes were appended after direct uploads; restore
-            // chronological order for the per-session coalescing below.
-            for u in &mut uploads {
-                u.sort_by_key(|(t, _, _)| *t);
+            if never_flushed {
+                continue; // excused above: the commit never synced
             }
-        }
-        stats.lan_synced += lan.served_chunks();
-        // Resolve pending commit batches to the first session after their
-        // visibility time. Commits after a device's last session never
-        // sync (the capture ends first), as in reality — the audit excuses
-        // them explicitly so the oracle can tell "capture ended" from
-        // "delivery lost".
-        for (di, dev) in devs.iter().enumerate() {
-            let pending = std::mem::take(&mut queues[di].pending);
-            for (t, cid, batch) in pending {
-                if let Some(si) = dev.next_session_after(t) {
-                    queues[di]
-                        .pending_at_start
+            if dev.session_containing(visible_at).is_none() {
+                // Off-line member: the commit waits for the login burst of
+                // the member's next session.
+                match dev.next_session_after(visible_at) {
+                    Some(si) => queues[m]
+                        .at_start
                         .entry(si)
                         .or_default()
-                        .push((vec![cid], batch));
-                } else if let Some(a) = audit.as_deref_mut() {
-                    a.excuse(cid, dev.host_int.0, Excuse::NoLaterSession);
+                        .push((vec![cid], c.chunks.clone())),
+                    None => {
+                        if let Some(a) = audit.as_deref_mut() {
+                            a.excuse(cid, dev.host_int.0, Excuse::NoLaterSession);
+                        }
+                    }
                 }
+                continue;
             }
+            // On-line member: ask the LAN first (Sec. 5.2), then fall back
+            // to a cloud retrieve.
+            let pairs: Vec<(ChunkId, u64)> = c.chunks.iter().map(|w| (w.id, w.raw_bytes)).collect();
+            if lan
+                .try_serve(dev.host_int, c.ns, &pairs, visible_at)
+                .is_some()
+            {
+                if let Some(a) = audit.as_deref_mut() {
+                    a.deliver(cid, dev.host_int.0, visible_at, DeliveryKind::Lan);
+                }
+                continue;
+            }
+            let mut delay = SimDuration::from_secs(prop_rng.range_u64(2, 25));
+            if !faults.notify_available(visible_at) {
+                // The push is lost: the member learns of the change from a
+                // fallback metadata poll instead.
+                delay += SimDuration::from_millis(prop_rng.range_u64(30_000, 120_000));
+            } else if faults.degraded_at(visible_at) {
+                // Elevated 5xx rates delay the push.
+                delay += SimDuration::from_millis(faults.notify_delay_ms as u64);
+            }
+            queues[m]
+                .online_downloads
+                .push((visible_at + delay, cid, c.chunks.clone()));
+            // Once the cloud retrieve lands, this device can serve the
+            // chunks to later peers on its LAN.
+            for w in &c.chunks {
+                lan.chunk_available(dev.host_int, w.id);
+            }
+            lan.announce(Announcement {
+                host: dev.host_int,
+                namespaces: dev.namespaces.clone(),
+                at: visible_at,
+            });
         }
-
-        // ---- Phase C: render the household's device flows -------------------
-        let render_rng = hh_rng.fork_named("render");
-        let session_policy = SessionPolicy {
-            retry: *policy,
-            ..SessionPolicy::default()
-        };
-
-        for (di, dev) in devs.iter().enumerate() {
-            let sync_config = SyncConfig {
-                version: dev.version,
-                no_storage_acks: dev.abnormal,
-                spec: config.protocol,
-                ..SyncConfig::default()
-            };
-            let mut engine = SyncEngine::new(&dns, &store, sync_config, dev.host_int.0);
-            let mut dev_rng = render_rng.fork(dev.host_int.0);
-
-            // Index per-session transactions. Bundling lets changes
-            // detected close together ride one connection: coalesce
-            // commits within the spec's window when bundling is active for
-            // this client generation (Dropbox: v1.4.0 only — v1.2.52 stays
-            // at zero; per-file-commit providers never coalesce).
-            let coalesce = config.protocol.commit_coalesce(dev.version);
-            let mut session_uploads: BTreeMap<usize, Vec<(SimTime, Vec<u64>, Vec<ChunkWork>)>> =
-                BTreeMap::new();
-            for (t, cids, chunks) in &uploads[di] {
-                if let Some(si) = dev.session_containing(*t) {
-                    let list = session_uploads.entry(si).or_default();
-                    match list.last_mut() {
-                        Some((t0, acc_ids, acc))
-                            if !coalesce.is_zero() && t.saturating_since(*t0) <= coalesce =>
-                        {
-                            acc_ids.extend(cids.iter().copied());
-                            acc.extend(chunks.iter().copied());
-                        }
-                        _ => list.push((*t, cids.clone(), chunks.clone())),
-                    }
-                }
-            }
-            let mut session_downloads: BTreeMap<usize, Vec<(SimTime, Vec<ChunkWork>)>> =
-                BTreeMap::new();
-            for (t, cid, chunks) in &queues[di].online_downloads {
-                let si = dev
-                    .session_containing(*t)
-                    .or_else(|| dev.next_session_after(*t));
-                if let Some(si) = si {
-                    let t = (*t).max(dev.sessions[si].start);
-                    if let Some(a) = audit.as_deref_mut() {
-                        a.deliver(*cid, dev.host_int.0, t, DeliveryKind::Online);
-                    }
-                    session_downloads
-                        .entry(si)
-                        .or_default()
-                        .push((t, chunks.clone()));
-                } else if let Some(a) = audit.as_deref_mut() {
-                    a.excuse(*cid, dev.host_int.0, Excuse::NoLaterSession);
-                }
-            }
-
-            for (si, session) in dev.sessions.iter().enumerate() {
-                let day = session.start.day();
-                let changes = session_downloads.get(&si).map(|v| v.len()).unwrap_or(0) as u32;
-
-                // Session-start control traffic.
-                let mut pending = queues[di].pending_at_start.remove(&si).unwrap_or_default();
-                // The login burst replays each missed changeset; very long
-                // offline periods collapse the tail into one bulk transaction.
-                const MAX_LOGIN_TRANSACTIONS: usize = 12;
-                if pending.len() > MAX_LOGIN_TRANSACTIONS {
-                    let mut tail_ids: Vec<u64> = Vec::new();
-                    let mut tail: Vec<ChunkWork> = Vec::new();
-                    for (ids, chunks) in pending.drain(MAX_LOGIN_TRANSACTIONS - 1..) {
-                        tail_ids.extend(ids);
-                        tail.extend(chunks);
-                    }
-                    pending.push((tail_ids, tail));
-                }
-                let pending_chunks: usize = pending.iter().map(|(_, c)| c.len()).sum();
-                for spec in engine.session_start_flows(pending_chunks, &mut dev_rng) {
-                    play(
-                        &spec,
-                        session.start + SimDuration::from_millis(dev_rng.range_u64(50, 900)),
-                        day,
-                        &mut dev_rng,
-                    );
-                }
-
-                // Notification connection(s) covering the session.
-                let span = session.duration();
-                if let NotifyStyle::Poll { period_secs } = config.protocol.notify {
-                    // Polling provider: no session-long long-poll. One
-                    // short change-check connection per period, jittered,
-                    // capped like the long-poll cycle model so 8 h
-                    // sessions stay affordable.
-                    let period = SimDuration::from_secs(period_secs.max(30));
-                    let mut t =
-                        session.start + SimDuration::from_millis(dev_rng.range_u64(500, 5_000));
-                    let mut polls = 0u32;
-                    while t < session.end && polls < 96 {
-                        let spec = poll_check_flow(
-                            config.protocol.notify_name(),
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            &mut dev_rng,
-                        );
-                        play(&spec, t, day, &mut dev_rng);
-                        t += period + SimDuration::from_millis(dev_rng.range_u64(0, 2_000));
-                        polls += 1;
-                    }
-                } else if dev.nat_afflicted {
-                    // The gateway kills the connection within a minute; the
-                    // client reconnects immediately. The effect is bursty in
-                    // real gateways ([10]): model ~35 kills per session, after
-                    // which the connection survives.
-                    let mut t = session.start;
-                    let mut frags = 0;
-                    while t < session.end && frags < 28 {
-                        let frag = SimDuration::from_secs(dev_rng.range_u64(20, 55))
-                            .min(session.end.saturating_since(t));
-                        let spec = spec_notification_flow(
-                            config.protocol,
-                            &dns,
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            frag,
-                            0,
-                            SessionEnd::NatReset,
-                            &mut dev_rng,
-                        );
-                        play(&spec, t, day, &mut dev_rng);
-                        t += frag + SimDuration::from_millis(200);
-                        frags += 1;
-                    }
-                    if t < session.end {
-                        let spec = spec_notification_flow(
-                            config.protocol,
-                            &dns,
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            session.end.saturating_since(t),
-                            0,
-                            SessionEnd::ClientShutdown,
-                            &mut dev_rng,
-                        );
-                        play(&spec, t, day, &mut dev_rng);
-                    }
-                } else if ctrl_active
-                    && (!faults.notify_available(session.start)
-                        || matches!(
-                            faults.next_notify_outage_after(session.start),
-                            Some((lo, _)) if lo < session.end
-                        ))
-                {
-                    // A notification outage overlaps the session: degrade
-                    // per the client's session state machine (DESIGN.md §9)
-                    // — long-poll fragments abort at the outage, jittered
-                    // fallback polls keep metadata flowing, and reconnect
-                    // probes back off until the plane returns. The probes
-                    // and the post-recovery reconnects are the storm the
-                    // chaos experiments aggregate fleet-wide.
-                    let splan = plan_session(
-                        session.start,
-                        session.end,
-                        faults,
-                        &session_policy,
-                        &mut dev_rng,
-                    );
-                    for phase in &splan.phases {
-                        match &phase.kind {
-                            PhaseKind::Notify { end } => {
-                                let frag = phase.end.saturating_since(phase.start);
-                                if frag.is_zero() {
-                                    continue;
-                                }
-                                let n_changes = if *end == SessionEnd::ClientShutdown {
-                                    changes
-                                } else {
-                                    0
-                                };
-                                let spec = spec_notification_flow(
-                                    config.protocol,
-                                    &dns,
-                                    dev.host_int,
-                                    md.namespaces_of(dev.host_int),
-                                    frag,
-                                    n_changes,
-                                    *end,
-                                    &mut dev_rng,
-                                );
-                                play(&spec, phase.start, day, &mut dev_rng);
-                                if *end == SessionEnd::Aborted {
-                                    fault_stats.notify_aborts += 1;
-                                }
-                            }
-                            PhaseKind::PollFallback { polls } => {
-                                for &pt in polls {
-                                    // Fallback metadata poll; a dead or
-                                    // degraded metadata plane answers with an
-                                    // error-sized response.
-                                    let resp = if faults.meta_available(pt) { 420 } else { 120 };
-                                    let spec =
-                                        engine.control_flow(false, &[(340, resp)], &mut dev_rng);
-                                    play(&spec, pt, day, &mut dev_rng);
-                                    fault_stats.fallback_polls += 1;
-                                    if let Some(a) = audit.as_deref_mut() {
-                                        a.fallback_poll();
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    for &at in &splan.reconnect_attempts {
-                        let spec = spec_reconnect_probe_flow(
-                            config.protocol,
-                            &dns,
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            &mut dev_rng,
-                        );
-                        play(&spec, at, day, &mut dev_rng);
-                        fault_stats.reconnect_attempts += 1;
-                        if let Some(a) = audit.as_deref_mut() {
-                            a.reconnect_attempt(at, dev.host_int.0);
-                        }
-                    }
-                    for &at in &splan.reconnects {
-                        fault_stats.reconnects += 1;
-                        if let Some(a) = audit.as_deref_mut() {
-                            a.reconnect(at, dev.host_int.0);
-                        }
-                    }
-                } else if faults.notify_churn_p > 0.0 && dev_rng.chance(faults.notify_churn_p) {
-                    // A flaky link churns the notification connection: a few
-                    // fragments die mid-poll (RST with a request outstanding)
-                    // and the client reconnects after an exponential backoff
-                    // before the connection finally stabilises.
-                    let n_aborts = 1 + dev_rng.below(3) as u32;
-                    let mut t = session.start;
-                    let mut attempt = 0u32;
-                    while attempt < n_aborts && t < session.end {
-                        let frag = SimDuration::from_secs(dev_rng.range_u64(90, 900))
-                            .min(session.end.saturating_since(t));
-                        let spec = spec_notification_flow(
-                            config.protocol,
-                            &dns,
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            frag,
-                            0,
-                            SessionEnd::Aborted,
-                            &mut dev_rng,
-                        );
-                        play(&spec, t, day, &mut dev_rng);
-                        fault_stats.notify_aborts += 1;
-                        t += frag + policy.backoff(attempt, &mut dev_rng);
-                        attempt += 1;
-                    }
-                    if t < session.end {
-                        let spec = spec_notification_flow(
-                            config.protocol,
-                            &dns,
-                            dev.host_int,
-                            md.namespaces_of(dev.host_int),
-                            session.end.saturating_since(t),
-                            changes,
-                            SessionEnd::ClientShutdown,
-                            &mut dev_rng,
-                        );
-                        play(&spec, t, day, &mut dev_rng);
-                    }
-                } else {
-                    let spec = spec_notification_flow(
-                        config.protocol,
-                        &dns,
-                        dev.host_int,
-                        md.namespaces_of(dev.host_int),
-                        span,
-                        changes,
-                        SessionEnd::ClientShutdown,
-                        &mut dev_rng,
-                    );
-                    play(&spec, session.start, day, &mut dev_rng);
-                }
-
-                // Login synchronisation burst: one transaction per missed
-                // changeset, staggered over the first minutes of the session.
-                let mut t_login = session.start + SimDuration::from_secs(dev_rng.range_u64(10, 40));
-                for (cids, batch) in &pending {
-                    if let Some(a) = audit.as_deref_mut() {
-                        for &cid in cids {
-                            a.deliver(cid, dev.host_int.0, t_login, DeliveryKind::Login);
-                        }
-                    }
-                    let outcome = engine.download_with_recovery(
-                        batch,
-                        day,
-                        t_login,
-                        faults,
-                        policy,
-                        &mut dev_rng,
-                        None,
-                    );
-                    fault_stats.sync_retries += u64::from(outcome.retries);
-                    fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                    for (off, spec) in &outcome.flows {
-                        play(spec, t_login + *off, day, &mut dev_rng);
-                    }
-                    t_login += SimDuration::from_secs(dev_rng.range_u64(3, 25));
-                }
-
-                // Periodic list refreshes (the short meta-data connections).
-                let mut t = session.start + SimDuration::from_mins(dev_rng.range_u64(20, 45));
-                while t < session.end {
-                    if ctrl_active && faults.degraded_at(t) && dev_rng.chance(faults.degraded_5xx_p)
-                    {
-                        // Partially degraded metadata plane: the first
-                        // attempt bounces with a 5xx-sized response and is
-                        // retried immediately after.
-                        let spec = engine.control_flow(false, &[(340, 120)], &mut dev_rng);
-                        play(&spec, t, day, &mut dev_rng);
-                        fault_stats.sync_retries += 1;
-                    }
-                    let spec = engine.control_flow(false, &[(340, 420)], &mut dev_rng);
-                    play(&spec, t, day, &mut dev_rng);
-                    t += SimDuration::from_mins(dev_rng.range_u64(25, 50));
-                }
-
-                // Uploads.
-                if let Some(ups) = session_uploads.get(&si) {
-                    for (t, cids, chunks) in ups {
-                        if let Some(a) = audit.as_deref_mut() {
-                            for &cid in cids {
-                                a.flushed(cid, *t);
-                            }
-                        }
-                        let outcome = engine.upload_with_recovery(
-                            chunks,
-                            day,
-                            *t,
-                            faults,
-                            policy,
-                            &mut dev_rng,
-                            None,
-                        );
-                        fault_stats.sync_retries += u64::from(outcome.retries);
-                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                        for (off, spec) in &outcome.flows {
-                            play(spec, *t + *off, day, &mut dev_rng);
-                        }
-                    }
-                }
-
-                // Downloads while on-line.
-                if let Some(downs) = session_downloads.get(&si) {
-                    for (t, chunks) in downs {
-                        let outcome = engine.download_with_recovery(
-                            chunks,
-                            day,
-                            *t,
-                            faults,
-                            policy,
-                            &mut dev_rng,
-                            None,
-                        );
-                        fault_stats.sync_retries += u64::from(outcome.retries);
-                        fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
-                        for (off, spec) in &outcome.flows {
-                            play(spec, *t + *off, day, &mut dev_rng);
-                        }
-                    }
-                }
-
-                // Rare crash report (exception back-trace to dl-debugX).
-                if dev_rng.chance(0.008) {
-                    let spec = engine.backtrace_flow(&mut dev_rng);
-                    play(
-                        &spec,
-                        session.start + SimDuration::from_secs(dev_rng.range_u64(30, 300)),
-                        day,
-                        &mut dev_rng,
-                    );
-                }
-
-                // Occasional event-log report.
-                if dev_rng.chance(0.15) {
-                    let spec = engine.event_log_flow(&mut dev_rng);
-                    play(
-                        &spec,
-                        session.start + SimDuration::from_secs(dev_rng.range_u64(60, 600)),
-                        day,
-                        &mut dev_rng,
-                    );
-                }
-
-                // The misbehaving uploader: consecutive single-4MB-chunk
-                // connections during its active window (Home 2, days 8–22),
-                // clipped to the part of the session overlapping that window.
-                if dev.abnormal {
-                    let win_lo =
-                        SimTime::from_day_offset(8.min(config.days - 1), SimDuration::ZERO);
-                    let win_hi = SimTime::from_day_offset(23.min(config.days), SimDuration::ZERO);
-                    let lo = session.start.max(win_lo);
-                    let hi = session.end.min(win_hi);
-                    let mut t = lo + SimDuration::from_secs(30);
-                    let mut n: u64 = dev.host_int.0 << 16;
-                    while t < hi {
-                        n += 1;
-                        let chunk = ChunkWork {
-                            id: ChunkId(n),
-                            wire_bytes: 4 * 1024 * 1024,
-                            raw_bytes: 4 * 1024 * 1024,
-                        };
-                        let spec = engine.store_flow(&[chunk], day, &mut dev_rng, None, t);
-                        play(&spec, t, day, &mut dev_rng);
-                        t += SimDuration::from_secs(dev_rng.range_u64(1_100, 1_900));
-                    }
-                }
-
-                let _ = dev.workstation;
-            }
+    }
+    // Drain every offline queue still holding batches: its flush instant
+    // was computed against the committer's sessions, so the drain lands
+    // inside one. Deferred flushes were appended after direct uploads;
+    // restore chronological order for the per-session coalescing of the
+    // render phase (a stable no-op when nothing was deferred).
+    for (di, q) in offline.iter_mut().enumerate() {
+        if let Some(f) = offline_flush[di] {
+            flush_queue(q, f, &mut queues[di].uploads);
         }
-
-        // The household's final chunk-store content: the durability side
-        // of the convergence oracle checks every flushed commit's live
-        // chunks against this snapshot.
         if let Some(a) = audit.as_deref_mut() {
-            a.snapshot_store(store.ids());
+            a.superseded_chunks(q.superseded_ids());
+            for &tag in q.coalesced_tags() {
+                a.excuse_commit(tag, Excuse::CoalescedAway);
+            }
+            if !q.is_empty() {
+                a.residual_batches(q.len() as u64);
+            }
+        }
+        queues[di].uploads.sort_by_key(|(t, _, _)| *t);
+    }
+    (queues, lan.served_chunks())
+}
+
+/// Phase 4: render every device's sessions through the sync engine.
+fn render_devices(
+    ctx: &CaptureCtx,
+    plane: &SyncPlane,
+    queues: Vec<DeviceQueue>,
+    hh_rng: &Rng,
+    player: &mut FlowPlayer,
+    fault_stats: &mut FaultStats,
+    mut audit: Option<&mut SyncAudit>,
+) {
+    let render_rng = hh_rng.fork_named("render");
+    for (dev, queue) in plane.devs.iter().zip(queues) {
+        let sync_config = SyncConfig {
+            version: dev.version,
+            no_storage_acks: dev.abnormal,
+            spec: ctx.config.protocol,
+            ..SyncConfig::default()
+        };
+        DeviceRenderer {
+            ctx,
+            dev,
+            namespaces: plane.md.namespaces_of(dev.host_int),
+            engine: SyncEngine::new(&ctx.dns, &plane.store, sync_config, dev.host_int.0),
+            rng: render_rng.fork(dev.host_int.0),
+            player: &mut *player,
+            fault_stats: &mut *fault_stats,
+            audit: audit.as_deref_mut(),
+        }
+        .render(queue);
+    }
+}
+
+/// One device's render: its sync engine, its render stream, and where its
+/// flows, fault counters and audit events go.
+struct DeviceRenderer<'r, 'p> {
+    ctx: &'r CaptureCtx<'r>,
+    dev: &'r Dev,
+    /// The namespace list the device advertises in notification requests.
+    namespaces: &'r [NamespaceId],
+    engine: SyncEngine<'r>,
+    rng: Rng,
+    player: &'r mut FlowPlayer<'p>,
+    fault_stats: &'r mut FaultStats,
+    audit: Option<&'r mut SyncAudit>,
+}
+
+impl DeviceRenderer<'_, '_> {
+    fn play(&mut self, spec: &FlowSpec, at: SimTime, day: u32) {
+        self.player.play(spec, at, day, &mut self.rng);
+    }
+
+    /// Assign the device's queued work to sessions, then render each
+    /// session in order.
+    fn render(mut self, mut queue: DeviceQueue) {
+        let dev = self.dev;
+        // Index per-session transactions. Bundling lets changes detected
+        // close together ride one connection: coalesce commits within the
+        // spec's window when bundling is active for this client generation
+        // (Dropbox: v1.4.0 only — v1.2.52 stays at zero; per-file-commit
+        // providers never coalesce).
+        let coalesce = self.ctx.config.protocol.commit_coalesce(dev.version);
+        let mut session_uploads: BTreeMap<usize, Vec<Upload>> = BTreeMap::new();
+        for (t, cids, chunks) in queue.uploads {
+            if let Some(si) = dev.session_containing(t) {
+                let list = session_uploads.entry(si).or_default();
+                match list.last_mut() {
+                    Some((t0, acc_ids, acc))
+                        if !coalesce.is_zero() && t.saturating_since(*t0) <= coalesce =>
+                    {
+                        acc_ids.extend(cids);
+                        acc.extend(chunks);
+                    }
+                    _ => list.push((t, cids, chunks)),
+                }
+            }
+        }
+        let mut session_downloads: BTreeMap<usize, Vec<(SimTime, Vec<ChunkWork>)>> =
+            BTreeMap::new();
+        for (t, cid, chunks) in queue.online_downloads {
+            let si = dev
+                .session_containing(t)
+                .or_else(|| dev.next_session_after(t));
+            if let Some(si) = si {
+                let t = t.max(dev.sessions[si].start);
+                if let Some(a) = self.audit.as_deref_mut() {
+                    a.deliver(cid, dev.host_int.0, t, DeliveryKind::Online);
+                }
+                session_downloads.entry(si).or_default().push((t, chunks));
+            } else if let Some(a) = self.audit.as_deref_mut() {
+                a.excuse(cid, dev.host_int.0, Excuse::NoLaterSession);
+            }
+        }
+        for (si, session) in dev.sessions.iter().enumerate() {
+            self.session(
+                session,
+                queue.at_start.remove(&si).unwrap_or_default(),
+                session_uploads.remove(&si).unwrap_or_default(),
+                session_downloads.remove(&si).unwrap_or_default(),
+            );
         }
     }
 
-    // ---- Phase D: web interface, direct links, API ----------------------
-    if hh.uses_web {
-        let mut web_rng = hh_rng.fork_named("web");
-        for day in 0..config.days {
-            let at = |r: &mut Rng| {
-                SimTime::from_day_offset(day, SimDuration::from_secs(r.range_u64(8 * 3600, 85_000)))
+    /// Render one session: start-up control traffic, the notification
+    /// connection(s), the login burst, list refreshes, the session's
+    /// uploads and downloads, and system logs.
+    fn session(
+        &mut self,
+        session: &Session,
+        mut login: Vec<LoginBatch>,
+        uploads: Vec<Upload>,
+        downloads: Vec<(SimTime, Vec<ChunkWork>)>,
+    ) {
+        let day = session.start.day();
+        let host = self.dev.host_int.0;
+        let faults = self.ctx.faults;
+
+        // Session-start control traffic. The login burst replays each
+        // missed changeset; very long offline periods collapse the tail
+        // into one bulk transaction.
+        const MAX_LOGIN_TRANSACTIONS: usize = 12;
+        if login.len() > MAX_LOGIN_TRANSACTIONS {
+            let mut tail_ids: Vec<u64> = Vec::new();
+            let mut tail: Vec<ChunkWork> = Vec::new();
+            for (ids, chunks) in login.drain(MAX_LOGIN_TRANSACTIONS - 1..) {
+                tail_ids.extend(ids);
+                tail.extend(chunks);
+            }
+            login.push((tail_ids, tail));
+        }
+        let login_chunks: usize = login.iter().map(|(_, c)| c.len()).sum();
+        for spec in self.engine.session_start_flows(login_chunks, &mut self.rng) {
+            let at = session.start + SimDuration::from_millis(self.rng.range_u64(50, 900));
+            self.play(&spec, at, day);
+        }
+
+        self.notification(session, day, downloads.len() as u32);
+
+        // Login synchronisation burst: one transaction per missed
+        // changeset, staggered over the first minutes of the session.
+        let mut t_login = session.start + SimDuration::from_secs(self.rng.range_u64(10, 40));
+        for (cids, batch) in &login {
+            if let Some(a) = self.audit.as_deref_mut() {
+                for &cid in cids {
+                    a.deliver(cid, host, t_login, DeliveryKind::Login);
+                }
+            }
+            self.transaction(false, batch, day, t_login);
+            t_login += SimDuration::from_secs(self.rng.range_u64(3, 25));
+        }
+
+        // Periodic list refreshes (the short meta-data connections).
+        let mut t = session.start + SimDuration::from_mins(self.rng.range_u64(20, 45));
+        while t < session.end {
+            if faults.degraded_at(t) && self.rng.chance(faults.degraded_5xx_p) {
+                // Partially degraded metadata plane: the first attempt
+                // bounces with a 5xx-sized response and is retried
+                // immediately after.
+                let spec = self
+                    .engine
+                    .control_flow(false, &[(340, 120)], &mut self.rng);
+                self.play(&spec, t, day);
+                self.fault_stats.sync_retries += 1;
+            }
+            let spec = self
+                .engine
+                .control_flow(false, &[(340, 420)], &mut self.rng);
+            self.play(&spec, t, day);
+            t += SimDuration::from_mins(self.rng.range_u64(25, 50));
+        }
+
+        for (t, cids, chunks) in &uploads {
+            if let Some(a) = self.audit.as_deref_mut() {
+                for &cid in cids {
+                    a.flushed(cid, *t);
+                }
+            }
+            self.transaction(true, chunks, day, *t);
+        }
+        for (t, chunks) in &downloads {
+            self.transaction(false, chunks, day, *t);
+        }
+
+        // Rare crash report (exception back-trace).
+        if self.rng.chance(0.008) {
+            let spec = self.engine.backtrace_flow(&mut self.rng);
+            let at = session.start + SimDuration::from_secs(self.rng.range_u64(30, 300));
+            self.play(&spec, at, day);
+        }
+        // Occasional event-log report.
+        if self.rng.chance(0.15) {
+            let spec = self.engine.event_log_flow(&mut self.rng);
+            let at = session.start + SimDuration::from_secs(self.rng.range_u64(60, 600));
+            self.play(&spec, at, day);
+        }
+
+        if self.dev.abnormal {
+            self.abnormal_uploads(session, day);
+        }
+    }
+
+    /// One sync transaction (an upload when `upload` is set, a download
+    /// otherwise) with its fault recovery: the engine's flows are played
+    /// at their offsets from `at` and its recovery counters join the
+    /// household's.
+    fn transaction(&mut self, upload: bool, chunks: &[ChunkWork], day: u32, at: SimTime) {
+        let (engine, rng) = (&mut self.engine, &mut self.rng);
+        let (faults, policy) = (self.ctx.faults, &self.ctx.session_policy.retry);
+        let outcome = if upload {
+            engine.upload_with_recovery(chunks, day, at, faults, policy, rng, None)
+        } else {
+            engine.download_with_recovery(chunks, day, at, faults, policy, rng, None)
+        };
+        self.fault_stats.sync_retries += u64::from(outcome.retries);
+        self.fault_stats.aborted_flows += u64::from(outcome.aborted_flows);
+        for (off, spec) in &outcome.flows {
+            self.play(spec, at + *off, day);
+        }
+    }
+
+    /// The notification connection(s) covering a session, with `changes`
+    /// early-answered polls. One decision picks the client's behaviour:
+    /// periodic polls (polling providers), NAT-killed fragments, the
+    /// degraded mode of a notification outage, reconnect churn on a flaky
+    /// link, or one session-long long-poll.
+    fn notification(&mut self, session: &Session, day: u32, changes: u32) {
+        let faults = self.ctx.faults;
+        let outage_overlaps = !faults.notify_available(session.start)
+            || matches!(
+                faults.next_notify_outage_after(session.start),
+                Some((lo, _)) if lo < session.end
+            );
+        if let NotifyStyle::Poll { period_secs } = self.ctx.config.protocol.notify {
+            // Polling provider: no session-long long-poll. One short
+            // change-check connection per period, jittered, capped like
+            // the long-poll cycle model so 8 h sessions stay affordable.
+            let period = SimDuration::from_secs(period_secs.max(30));
+            let mut t = session.start + SimDuration::from_millis(self.rng.range_u64(500, 5_000));
+            let mut polls = 0u32;
+            while t < session.end && polls < 96 {
+                let spec = self.engine.poll_check_flow(self.namespaces, &mut self.rng);
+                self.play(&spec, t, day);
+                t += period + SimDuration::from_millis(self.rng.range_u64(0, 2_000));
+                polls += 1;
+            }
+        } else if self.dev.nat_afflicted {
+            // The gateway kills the connection within a minute; the client
+            // reconnects immediately. The effect is bursty in real
+            // gateways ([10]): after a burst of kills the connection
+            // survives.
+            self.fragmented(
+                session,
+                day,
+                28,
+                (20, 55),
+                SessionEnd::NatReset,
+                0,
+                |_, _| SimDuration::from_millis(200),
+            );
+        } else if outage_overlaps {
+            self.notification_outage(session, day, changes);
+        } else if faults.notify_churn_p > 0.0 && self.rng.chance(faults.notify_churn_p) {
+            // A flaky link churns the notification connection: a few
+            // fragments die mid-poll (RST with a request outstanding) and
+            // the client reconnects after an exponential backoff before
+            // the connection finally stabilises.
+            let cuts = 1 + self.rng.below(3) as u32;
+            let policy = self.ctx.session_policy.retry;
+            let aborted = self.fragmented(
+                session,
+                day,
+                cuts,
+                (90, 900),
+                SessionEnd::Aborted,
+                changes,
+                |attempt, rng| policy.backoff(attempt, rng),
+            );
+            self.fault_stats.notify_aborts += aborted;
+        } else {
+            let spec = self.engine.notification_flow(
+                self.namespaces,
+                session.duration(),
+                changes,
+                SessionEnd::ClientShutdown,
+                &mut self.rng,
+            );
+            self.play(&spec, session.start, day);
+        }
+    }
+
+    /// A notification connection cut up to `cuts` times before it holds:
+    /// each fragment lasts a draw from `secs` (clipped to the session) and
+    /// ends with `cut`, and the client reconnects `gap(attempt)` later;
+    /// the connection that survives carries `changes` to the session's
+    /// end. Returns the number of cut fragments.
+    #[allow(clippy::too_many_arguments)]
+    fn fragmented(
+        &mut self,
+        session: &Session,
+        day: u32,
+        cuts: u32,
+        secs: (u64, u64),
+        cut: SessionEnd,
+        changes: u32,
+        gap: impl Fn(u32, &mut Rng) -> SimDuration,
+    ) -> u64 {
+        let mut t = session.start;
+        let mut attempt = 0u32;
+        while attempt < cuts && t < session.end {
+            let frag = SimDuration::from_secs(self.rng.range_u64(secs.0, secs.1))
+                .min(session.end.saturating_since(t));
+            let spec = self
+                .engine
+                .notification_flow(self.namespaces, frag, 0, cut, &mut self.rng);
+            self.play(&spec, t, day);
+            t += frag + gap(attempt, &mut self.rng);
+            attempt += 1;
+        }
+        if t < session.end {
+            let spec = self.engine.notification_flow(
+                self.namespaces,
+                session.end.saturating_since(t),
+                changes,
+                SessionEnd::ClientShutdown,
+                &mut self.rng,
+            );
+            self.play(&spec, t, day);
+        }
+        u64::from(attempt)
+    }
+
+    /// A notification outage overlaps the session: degrade per the
+    /// client's session state machine (DESIGN.md §9) — long-poll fragments
+    /// abort at the outage, jittered fallback polls keep metadata flowing,
+    /// and reconnect probes back off until the plane returns. The probes
+    /// and the post-recovery reconnects are the storm the chaos
+    /// experiments aggregate fleet-wide.
+    fn notification_outage(&mut self, session: &Session, day: u32, changes: u32) {
+        let faults = self.ctx.faults;
+        let host = self.dev.host_int.0;
+        let splan = plan_session(
+            session.start,
+            session.end,
+            faults,
+            &self.ctx.session_policy,
+            &mut self.rng,
+        );
+        for phase in &splan.phases {
+            match &phase.kind {
+                PhaseKind::Notify { end } => {
+                    let frag = phase.end.saturating_since(phase.start);
+                    if frag.is_zero() {
+                        continue;
+                    }
+                    let n_changes = if *end == SessionEnd::ClientShutdown {
+                        changes
+                    } else {
+                        0
+                    };
+                    let spec = self.engine.notification_flow(
+                        self.namespaces,
+                        frag,
+                        n_changes,
+                        *end,
+                        &mut self.rng,
+                    );
+                    self.play(&spec, phase.start, day);
+                    if *end == SessionEnd::Aborted {
+                        self.fault_stats.notify_aborts += 1;
+                    }
+                }
+                PhaseKind::PollFallback { polls } => {
+                    for &pt in polls {
+                        // Fallback metadata poll; a dead or degraded
+                        // metadata plane answers with an error-sized
+                        // response.
+                        let resp = if faults.meta_available(pt) { 420 } else { 120 };
+                        let spec = self
+                            .engine
+                            .control_flow(false, &[(340, resp)], &mut self.rng);
+                        self.play(&spec, pt, day);
+                        self.fault_stats.fallback_polls += 1;
+                        if let Some(a) = self.audit.as_deref_mut() {
+                            a.fallback_poll();
+                        }
+                    }
+                }
+            }
+        }
+        for &at in &splan.reconnect_attempts {
+            let spec = self
+                .engine
+                .reconnect_probe_flow(self.namespaces, &mut self.rng);
+            self.play(&spec, at, day);
+            self.fault_stats.reconnect_attempts += 1;
+            if let Some(a) = self.audit.as_deref_mut() {
+                a.reconnect_attempt(at, host);
+            }
+        }
+        for &at in &splan.reconnects {
+            self.fault_stats.reconnects += 1;
+            if let Some(a) = self.audit.as_deref_mut() {
+                a.reconnect(at, host);
+            }
+        }
+    }
+
+    /// The misbehaving uploader: consecutive single-4MB-chunk connections
+    /// during its active window (Home 2, days 8–22), clipped to the part
+    /// of the session overlapping that window.
+    fn abnormal_uploads(&mut self, session: &Session, day: u32) {
+        let days = self.ctx.config.days;
+        let win_lo = SimTime::from_day_offset(8.min(days - 1), SimDuration::ZERO);
+        let win_hi = SimTime::from_day_offset(23.min(days), SimDuration::ZERO);
+        let lo = session.start.max(win_lo);
+        let hi = session.end.min(win_hi);
+        let mut t = lo + SimDuration::from_secs(30);
+        let mut n: u64 = self.dev.host_int.0 << 16;
+        while t < hi {
+            n += 1;
+            let chunk = ChunkWork {
+                id: ChunkId(n),
+                wire_bytes: 4 * 1024 * 1024,
+                raw_bytes: 4 * 1024 * 1024,
             };
-            if web_rng.chance(0.06) {
-                let t = at(&mut web_rng);
-                for spec in web_session_flows(&mut web_rng) {
-                    play(&spec, t, day, &mut web_rng.clone());
-                }
+            let spec = self
+                .engine
+                .store_flow(&[chunk], day, &mut self.rng, None, t);
+            self.play(&spec, t, day);
+            t += SimDuration::from_secs(self.rng.range_u64(1_100, 1_900));
+        }
+    }
+}
+
+/// Phase 5: web interface, direct links and API usage.
+fn web_flows(config: &VantageConfig, hh: &Household, hh_rng: &Rng, player: &mut FlowPlayer) {
+    if !hh.uses_web {
+        return;
+    }
+    let mut web_rng = hh_rng.fork_named("web");
+    for day in 0..config.days {
+        let at = |r: &mut Rng| {
+            SimTime::from_day_offset(day, SimDuration::from_secs(r.range_u64(8 * 3600, 85_000)))
+        };
+        if web_rng.chance(0.06) {
+            let t = at(&mut web_rng);
+            for spec in web_session_flows(&mut web_rng) {
+                player.play(&spec, t, day, &mut web_rng.clone());
             }
-            if web_rng.chance(0.55) {
-                let t = at(&mut web_rng);
-                let spec = direct_link_flow(&mut web_rng);
-                play(&spec, t, day, &mut web_rng.clone());
-            }
-            if hh.behavior.is_some() && web_rng.chance(0.08) {
-                let t = at(&mut web_rng);
-                for spec in api_session_flows(&mut web_rng) {
-                    play(&spec, t, day, &mut web_rng.clone());
-                }
+        }
+        if web_rng.chance(0.55) {
+            let t = at(&mut web_rng);
+            let spec = direct_link_flow(&mut web_rng);
+            player.play(&spec, t, day, &mut web_rng.clone());
+        }
+        if hh.behavior.is_some() && web_rng.chance(0.08) {
+            let t = at(&mut web_rng);
+            for spec in api_session_flows(&mut web_rng) {
+                player.play(&spec, t, day, &mut web_rng.clone());
             }
         }
     }
-
-    // ---- Phase E: background provider traffic ---------------------------
-    let mut prng = providers_root.fork(idx as u64);
-    providers::household_flows(config, hh, &mut prng, &mut |rec| emit(rec, None));
-
-    stats.fault_stats.absorb(fault_stats);
 }
 
 #[cfg(test)]
@@ -1731,7 +1760,6 @@ mod tests {
                 version: ClientVersion::V1_2_52,
                 abnormal: false,
                 nat_afflicted: false,
-                workstation: false,
             };
             // Probe every boundary instant plus its neighbours and the
             // gaps, so `t == start`, `t == end`, and zero-length sessions
