@@ -876,33 +876,3 @@ pub fn fig21(sum: &CaptureSummary) -> Report {
     )
     .with_csv("fig21.csv", cdfs_csv(&refs, 150))
 }
-
-/// All figure generators that need the capture summary, in order.
-pub fn all_with_capture(sum: &CaptureSummary) -> Vec<Report> {
-    vec![
-        fig2(sum),
-        fig3(sum),
-        fig4(sum),
-        fig5(sum),
-        fig6(sum),
-        fig7(sum),
-        fig8(sum),
-        fig9(sum),
-        fig10(sum),
-        fig11(sum),
-        fig12(sum),
-        fig13(sum),
-        fig14(sum),
-        fig15(sum),
-        fig16(sum),
-        fig17(sum),
-        fig18(sum),
-        fig20(sum),
-        fig21(sum),
-    ]
-}
-
-/// Standalone (testbed) figures.
-pub fn standalone() -> Vec<Report> {
-    vec![fig1(), fig19()]
-}

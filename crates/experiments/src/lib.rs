@@ -23,6 +23,8 @@
 //! * [`chaos`] — the chaos-soak harness (`repro --chaos N`): many seeded
 //!   control-plane fault scenarios, each audited by the driver and
 //!   checked against the sync-convergence oracle (DESIGN.md §9),
+//! * [`registry`] — the one list of report ids and what each renders
+//!   from, shared by `repro` and the smoke test,
 //! * [`providers`] — the provider matrix (`repro --provider-matrix`):
 //!   competing [`dropbox::spec`] protocol specifications driven through
 //!   the same Home 1 workload, plus the bundling-vs-RTT sweep
@@ -41,6 +43,7 @@ pub mod chart;
 pub mod figures;
 pub mod providers;
 pub mod recommendations;
+pub mod registry;
 pub mod report;
 pub mod run;
 pub mod summary;

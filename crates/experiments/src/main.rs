@@ -45,17 +45,24 @@
 //!                     (`wired` | `wifi` | `lte`) in provider-matrix mode
 //! ```
 
-use experiments::ablations;
-use experiments::figures;
-use experiments::recommendations;
+use experiments::registry::{self, Source, REPORTS};
 use experiments::report::Report;
 use experiments::run::run_capture_with_plan;
-use experiments::tables;
-use experiments::validation;
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
-use workload::{FaultPlan, OutageKnobs, ShardPlan};
+use workload::{FaultPlan, FaultStats, OutageKnobs, ShardPlan};
+
+/// Print every report and write it, with its artifacts, to `out_dir`.
+fn write_reports(out_dir: &Path, reports: &[Report]) {
+    for rep in reports {
+        println!("{}", rep.render());
+        fs::write(out_dir.join(format!("{}.txt", rep.id)), rep.render()).expect("write report");
+        for (name, contents) in &rep.artifacts {
+            fs::write(out_dir.join(name), contents).expect("write artifact");
+        }
+    }
+}
 
 fn main() {
     let mut ids: Vec<String> = Vec::new();
@@ -146,17 +153,15 @@ fn main() {
         ids = vec!["all".into()];
     }
     let want = |id: &str| ids[0] == "all" || ids.iter().any(|i| i == id);
+    if jobs == 0 {
+        jobs = simcore::par::available_jobs();
+    }
 
     fs::create_dir_all(&out_dir).expect("create output directory");
 
     // Provider-matrix mode is its own pipeline: per-spec captures + the
     // bundling-vs-RTT sweep, no tables/figures.
     if provider_matrix {
-        let resolved_jobs = if jobs == 0 {
-            simcore::par::available_jobs()
-        } else {
-            jobs
-        };
         let cfg = experiments::providers::MatrixConfig {
             scale,
             seed,
@@ -164,7 +169,7 @@ fn main() {
             ..experiments::providers::MatrixConfig::default()
         };
         eprintln!(
-            "provider matrix: {} specs x {}-day Home 1 capture (scale {scale}, seed {seed}, jobs {resolved_jobs}{})…",
+            "provider matrix: {} specs x {}-day Home 1 capture (scale {scale}, seed {seed}, jobs {jobs}{})…",
             dropbox::spec::ALL.len(),
             cfg.days,
             match access {
@@ -174,17 +179,11 @@ fn main() {
         );
         let t0 = Instant::now();
         let reports = [
-            experiments::providers::provider_matrix(&cfg, resolved_jobs),
+            experiments::providers::provider_matrix(&cfg, jobs),
             experiments::providers::bundling_vs_rtt(seed),
         ];
         eprintln!("matrix finished in {:.1}s", t0.elapsed().as_secs_f64());
-        for rep in &reports {
-            println!("{}", rep.render());
-            fs::write(out_dir.join(format!("{}.txt", rep.id)), rep.render()).expect("write report");
-            for (name, contents) in &rep.artifacts {
-                fs::write(out_dir.join(name), contents).expect("write artifact");
-            }
-        }
+        write_reports(&out_dir, &reports);
         return;
     }
 
@@ -196,23 +195,14 @@ fn main() {
             knobs,
             ..experiments::chaos::SoakConfig::default()
         };
-        let resolved_jobs = if jobs == 0 {
-            simcore::par::available_jobs()
-        } else {
-            jobs
-        };
         eprintln!(
-            "chaos soak: {seeds} scenario(s) (scale {}, {} days each, jobs {resolved_jobs})…",
+            "chaos soak: {seeds} scenario(s) (scale {}, {} days each, jobs {jobs})…",
             cfg.scale, cfg.days
         );
         let t0 = Instant::now();
-        let (rep, violations) = experiments::chaos::chaos_soak(&cfg, resolved_jobs);
+        let (rep, violations) = experiments::chaos::chaos_soak(&cfg, jobs);
         eprintln!("soak finished in {:.1}s", t0.elapsed().as_secs_f64());
-        println!("{}", rep.render());
-        fs::write(out_dir.join(format!("{}.txt", rep.id)), rep.render()).expect("write report");
-        for (name, contents) in &rep.artifacts {
-            fs::write(out_dir.join(name), contents).expect("write artifact");
-        }
+        write_reports(&out_dir, &[rep]);
         if violations > 0 {
             eprintln!("chaos soak FAILED: {violations} convergence violation(s)");
             std::process::exit(1);
@@ -221,33 +211,17 @@ fn main() {
         return;
     }
 
+    // Standalone testbed reports need no capture.
     let mut reports: Vec<Report> = Vec::new();
-
-    // Standalone testbed figures need no capture.
-    if want("fig1") {
-        reports.push(figures::fig1());
-    }
-    if want("fig19") {
-        reports.push(figures::fig19());
-    }
-    if want("table1") {
-        reports.push(tables::table1());
-    }
-    if want("recommendations") {
-        reports.push(recommendations::recommendations());
-    }
-    if want("ablations") {
-        reports.extend(ablations::all());
+    for (id, src) in REPORTS {
+        if let Source::Standalone(f) = src {
+            if want(id) {
+                reports.extend(f());
+            }
+        }
     }
 
-    let needs_capture = ids[0] == "all"
-        || ids.iter().any(|i| {
-            !matches!(
-                i.as_str(),
-                "fig1" | "fig19" | "table1" | "recommendations" | "ablations"
-            )
-        });
-    if needs_capture {
+    if ids[0] == "all" || ids.iter().any(|i| registry::needs_capture(i)) {
         let plan = match fault_seed {
             // The longest capture is the 42-day Mar–May window; the plan's
             // outage schedule covers it entirely. With default knobs this
@@ -255,13 +229,8 @@ fn main() {
             Some(fs) => FaultPlan::lossy_tuned(fs, 42, &knobs),
             None => FaultPlan::none(),
         };
-        let resolved_jobs = if jobs == 0 {
-            simcore::par::available_jobs()
-        } else {
-            jobs
-        };
         eprintln!(
-            "simulating 4 vantage points + the Jun/Jul re-capture (scale {scale}, seed {seed}, jobs {resolved_jobs}{})…",
+            "simulating 4 vantage points + the Jun/Jul re-capture (scale {scale}, seed {seed}, jobs {jobs}{})…",
             match fault_seed {
                 Some(fs) => format!(", fault seed {fs}"),
                 None => String::new(),
@@ -269,7 +238,7 @@ fn main() {
         );
         let t0 = Instant::now();
         let shard_plan = ShardPlan::paper().with_sub_shards(hh_shards);
-        let cap = run_capture_with_plan(&shard_plan, scale, seed, &plan, resolved_jobs);
+        let cap = run_capture_with_plan(&shard_plan, scale, seed, &plan, jobs);
         eprintln!("simulation finished in {:.1}s", t0.elapsed().as_secs_f64());
         let total_flows: usize = cap.vantages.iter().map(|v| v.dataset.flows.len()).sum();
         eprintln!("flow records: {total_flows}");
@@ -285,11 +254,9 @@ fn main() {
             summary.state_bytes() / 1024
         );
         if plan.is_active() {
-            let mut stats = workload::FaultStats::default();
+            let mut stats = FaultStats::default();
             for out in cap.vantages.iter().chain(std::iter::once(&cap.campus1_v14)) {
-                stats.sync_retries += out.fault_stats.sync_retries;
-                stats.aborted_flows += out.fault_stats.aborted_flows;
-                stats.notify_aborts += out.fault_stats.notify_aborts;
+                stats.absorb(out.fault_stats);
             }
             eprintln!(
                 "injected faults: {} sync retries, {} aborted transfers, {} notification aborts",
@@ -299,36 +266,9 @@ fn main() {
 
         // Figures/tables are pure renderers over the summary; only the
         // truth-scoring validation still needs the capture itself.
-        type Gen = Box<dyn Fn(&experiments::Capture, &experiments::CaptureSummary) -> Report>;
-        let gens: Vec<(&str, Gen)> = vec![
-            ("table2", Box::new(|_, s| tables::table2(s))),
-            ("table3", Box::new(|_, s| tables::table3(s))),
-            ("table4", Box::new(|_, s| tables::table4(s))),
-            ("table5", Box::new(|_, s| tables::table5_report(s))),
-            ("fig2", Box::new(|_, s| figures::fig2(s))),
-            ("fig3", Box::new(|_, s| figures::fig3(s))),
-            ("fig4", Box::new(|_, s| figures::fig4(s))),
-            ("fig5", Box::new(|_, s| figures::fig5(s))),
-            ("fig6", Box::new(|_, s| figures::fig6(s))),
-            ("fig7", Box::new(|_, s| figures::fig7(s))),
-            ("fig8", Box::new(|_, s| figures::fig8(s))),
-            ("fig9", Box::new(|_, s| figures::fig9(s))),
-            ("fig10", Box::new(|_, s| figures::fig10(s))),
-            ("fig11", Box::new(|_, s| figures::fig11(s))),
-            ("fig12", Box::new(|_, s| figures::fig12(s))),
-            ("fig13", Box::new(|_, s| figures::fig13(s))),
-            ("fig14", Box::new(|_, s| figures::fig14(s))),
-            ("fig15", Box::new(|_, s| figures::fig15(s))),
-            ("fig16", Box::new(|_, s| figures::fig16(s))),
-            ("fig17", Box::new(|_, s| figures::fig17(s))),
-            ("fig18", Box::new(|_, s| figures::fig18(s))),
-            ("fig20", Box::new(|_, s| figures::fig20(s))),
-            ("fig21", Box::new(|_, s| figures::fig21(s))),
-            ("validation", Box::new(|c, _| validation::validate(c))),
-        ];
-        for (id, gen) in gens {
-            if want(id) {
-                reports.push(gen(&cap, &summary));
+        for (id, src) in REPORTS {
+            if want(id) && !matches!(src, Source::Standalone(_)) {
+                reports.extend(src.render(&cap, &summary));
             }
         }
 
@@ -355,13 +295,8 @@ fn main() {
          sub-shards; byte-identical at every `--jobs` and `--hh-shards` value)\n\n\
          | report | title | artifacts |\n|---|---|---|\n"
     ));
+    write_reports(&out_dir, &reports);
     for rep in &reports {
-        println!("{}", rep.render());
-        let path = out_dir.join(format!("{}.txt", rep.id));
-        fs::write(&path, rep.render()).expect("write report");
-        for (name, contents) in &rep.artifacts {
-            fs::write(out_dir.join(name), contents).expect("write artifact");
-        }
         let artifacts: Vec<&str> = rep.artifacts.iter().map(|(n, _)| n.as_str()).collect();
         index.push_str(&format!(
             "| [{id}.txt]({id}.txt) | {title} | {arts} |\n",

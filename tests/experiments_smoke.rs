@@ -1,23 +1,18 @@
 //! Smoke test: every report generator produces a non-empty body and
 //! well-formed CSV artifacts on a tiny capture.
 
+use experiments::registry::REPORTS;
 use experiments::run::run_capture;
-use experiments::{ablations, figures, recommendations, tables, validation, CaptureSummary};
+use experiments::{ablations, recommendations, CaptureSummary, Report};
 
 #[test]
 fn every_report_generates() {
     let cap = run_capture(0.012, 21, &workload::FaultPlan::none(), 2);
     let sum = CaptureSummary::compute(&cap);
-    let mut reports = vec![
-        tables::table1(),
-        tables::table2(&sum),
-        tables::table3(&sum),
-        tables::table4(&sum),
-        tables::table5_report(&sum),
-        validation::validate(&cap),
-    ];
-    reports.extend(figures::standalone());
-    reports.extend(figures::all_with_capture(&sum));
+    let reports: Vec<Report> = REPORTS
+        .iter()
+        .flat_map(|(_, src)| src.render(&cap, &sum))
+        .collect();
 
     assert!(reports.len() >= 27, "reports: {}", reports.len());
     for rep in &reports {
