@@ -92,6 +92,16 @@ cargo run --release --offline -p experiments --bin repro -- \
 test -s "$chaos_dir/chaos_soak.txt"
 grep -q "convergence oracle: PASS" "$chaos_dir/chaos_soak.txt"
 
+# Committed results must be exactly what a fresh reproduction writes:
+# regenerate every report at the committed parameters and byte-diff the
+# lot against results/ (simlint_report.json is written by simlint above,
+# not by repro).
+fresh_dir="$(mktemp -d)"
+trap 'rm -rf "$smoke_dir" "$par_dir" "$coarse_dir" "$matrix_dir" "$matrix_dir2" "$chaos_dir" "$fresh_dir"' EXIT
+cargo run --release --offline -p experiments --bin repro -- \
+    all --scale 0.1 --seed 2012 --out "$fresh_dir" > /dev/null
+diff -r -x simlint_report.json "$fresh_dir" results
+
 # Fault-substrate benchmark (writes crates/bench/BENCH_faults.json).
 cargo bench --offline -p bench --bench faults
 test -s crates/bench/BENCH_faults.json
