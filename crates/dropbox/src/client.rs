@@ -704,14 +704,16 @@ impl<'a> SyncEngine<'a> {
         }
     }
 
-    /// An exception back-trace upload (`dl-debugX.dropbox.com`, Sec. 2.3)
-    /// — rare crash reports shipped to Amazon-side collectors.
+    /// An exception back-trace upload (`dl-debugX.dropbox.com`, Sec. 2.3,
+    /// or the provider's telemetry front) — rare crash reports shipped to
+    /// Amazon-side collectors.
     pub fn backtrace_flow(&mut self, rng: &mut Rng) -> FlowSpec {
         self.system_log_flow(true, rng)
     }
 
-    /// An event-log report flow (`d.dropbox.com`, Sec. 2.3) — sporadic,
-    /// small, and excluded from the paper's deeper analysis.
+    /// An event-log report flow (`d.dropbox.com`, Sec. 2.3, or the
+    /// provider's telemetry front) — sporadic, small, and excluded from
+    /// the paper's deeper analysis.
     pub fn event_log_flow(&mut self, rng: &mut Rng) -> FlowSpec {
         self.system_log_flow(false, rng)
     }
@@ -719,7 +721,7 @@ impl<'a> SyncEngine<'a> {
     /// One system-log report: a TLS upload of the log (or back-trace) and
     /// a short acknowledgement.
     fn system_log_flow(&mut self, backtrace: bool, rng: &mut Rng) -> FlowSpec {
-        let name = self.dns.log_name(backtrace, rng);
+        let name = self.config.spec.telemetry_name(self.dns, backtrace, rng);
         let (delay_ms, (lo, hi), ack) = if backtrace {
             (100, (2_000, 40_000), 150)
         } else {

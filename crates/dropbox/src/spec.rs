@@ -19,7 +19,9 @@
 //!   (Sec. 4.2: control in the Dropbox DC, storage on Amazon),
 //! * **notification style** — long-poll (Dropbox, Sec. 2.3.1) versus
 //!   periodic polling,
-//! * **naming** — the DNS surface the probe sees.
+//! * **naming** — the DNS surface the probe sees. The name resolvers
+//!   of [`ProviderSpec`] are the only place a client's server names are
+//!   decided.
 //!
 //! [`DROPBOX`] reproduces today's byte-identical captures and is the
 //! default everywhere; [`SKYDRIVE_LIKE`] and [`GDRIVE_LIKE`] are the

@@ -16,6 +16,7 @@
 
 use dropbox::client::ClientVersion;
 use dropbox::spec;
+use dropbox::FlowTruth;
 use nettrace::FlowRecord;
 use tcpmodel::params as access;
 use workload::shard::ShardPlan;
@@ -83,8 +84,8 @@ fn flat_specs_reproduce_their_pinned_captures() {
     // baseline, pinned over the full serialised JSONL so that a change of
     // server name (the spec's naming decision) moves the pin too.
     for (prov, flows, pin) in [
-        (&spec::SKYDRIVE_LIKE, 15363usize, 0xce9bf7c2f80b67ddu64),
-        (&spec::GDRIVE_LIKE, 9720, 0xf9beca8b85f7b2aa),
+        (&spec::SKYDRIVE_LIKE, 15364usize, 0x7686be17921006e2u64),
+        (&spec::GDRIVE_LIKE, 9721, 0x7207dabfd0981b28),
     ] {
         let mut config = VantageConfig::paper(VantageKind::Home1, 0.02);
         config.days = 7;
@@ -92,6 +93,47 @@ fn flat_specs_reproduce_their_pinned_captures() {
         let out = simulate_vantage(&config, ClientVersion::V1_2_52, 42, &FaultPlan::none());
         assert_eq!(out.dataset.flows.len(), flows, "{}", prov.slug);
         assert_eq!(fnv1a(&jsonl(&out)), pin, "{}", prov.slug);
+    }
+}
+
+#[test]
+fn flat_specs_keep_sync_clients_off_the_dropbox_zone() {
+    // The spec alone decides where a sync client connects: control,
+    // notification, storage and system-log flows of a flat-named
+    // provider never reach a `*.dropbox.com` server. (Web, API and
+    // direct-link usage is the household's Dropbox activity and stays.)
+    for prov in [&spec::SKYDRIVE_LIKE, &spec::GDRIVE_LIKE] {
+        let mut config = VantageConfig::paper(VantageKind::Home1, 0.02);
+        config.days = 7;
+        config.protocol = prov;
+        let out = simulate_vantage(&config, ClientVersion::V1_2_52, 42, &FaultPlan::none());
+        let mut logs = 0;
+        for (f, truth) in out.flows_with_truth() {
+            let Some(truth) = truth else { continue };
+            let client = matches!(
+                truth,
+                FlowTruth::Store { .. }
+                    | FlowTruth::Retrieve { .. }
+                    | FlowTruth::Control
+                    | FlowTruth::Notification
+                    | FlowTruth::SystemLog
+            );
+            let name = f.server_name().unwrap_or_default();
+            assert!(
+                !client || !name.ends_with(".dropbox.com"),
+                "{}: {truth:?} flow to {name}",
+                prov.slug
+            );
+            if *truth == FlowTruth::SystemLog {
+                assert!(
+                    name.starts_with("telemetry."),
+                    "{}: log to {name}",
+                    prov.slug
+                );
+                logs += 1;
+            }
+        }
+        assert!(logs > 0, "{}: no system-log flows", prov.slug);
     }
 }
 
