@@ -16,7 +16,7 @@
 //! `full-materialize` rule exempts this file).
 
 use crate::classify::{dropbox_role, provider_of, DropboxRole, Provider};
-use crate::stream::{run_one, Accumulate, Pipeline};
+use crate::stream::{run_one, Accumulate};
 use nettrace::{FlowRecord, Ipv4};
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem::size_of;
@@ -83,13 +83,6 @@ impl Dataset {
         }
     }
 
-    /// Dropbox flows only.
-    pub fn dropbox_flows(&self) -> impl Iterator<Item = &FlowRecord> {
-        self.flows
-            .iter()
-            .filter(|f| provider_of(f) == Provider::Dropbox)
-    }
-
     /// Client-storage (`dl-clientX`) flows only.
     pub fn client_storage_flows(&self) -> impl Iterator<Item = &FlowRecord> {
         self.flows
@@ -130,12 +123,6 @@ impl Dataset {
     /// Total bytes of *all* traffic per day.
     pub fn daily_total_bytes(&self) -> Vec<u64> {
         run_one(&self.flows, DailyTotalAcc::new(self.days))
-    }
-
-    /// Replay the retained flow vector through a [`Pipeline`] — the
-    /// bridge from a materialised capture to the single-pass analyses.
-    pub fn stream_into(&self, pipeline: &mut Pipeline<'_>) {
-        pipeline.run(&self.flows);
     }
 }
 

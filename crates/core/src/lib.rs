@@ -21,8 +21,9 @@
 //! * [`dataset`] — the vantage-point dataset wrapper and summary tables,
 //! * [`stream`] — the single-pass analysis substrate: the
 //!   [`stream::Accumulate`] trait every analysis implements and the
-//!   [`stream::Pipeline`] that fans one record stream out to all of them
-//!   (mirroring the paper's on-line Tstat processing).
+//!   [`stream::Pipeline`] that owns a set of them and fans one record
+//!   stream out to all of them (mirroring the paper's on-line Tstat
+//!   processing).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,25 +5,30 @@
 //! into the analyses as flows closed, never holding a capture in RAM.
 //! This module is that architecture for the reproduction: every analysis
 //! in this crate is an [`Accumulate`] implementation (`observe` one
-//! record at a time, `finish` into the legacy result type), and a
-//! [`Pipeline`] fans one record stream out to all registered accumulators
-//! so the whole analysis happens in **one pass** over the capture.
+//! record at a time, `finish` into its result type), and a [`Pipeline`]
+//! owns a list of accumulators and fans one record stream out to all of
+//! them, so the whole analysis happens in **one pass** over the capture.
+//! Each [`Pipeline::add`] returns a typed [`Handle`] that
+//! [`Pipeline::finish`] later redeems for that stage's output.
 //!
 //! Determinism: accumulators observe records in capture order (the
 //! monitor's finalisation order — see `nettrace::sink`), and every
 //! `finish` folds its state in a deterministic (keyed or arrival) order,
-//! so a pipeline pass is byte-identical to the legacy whole-`Vec`
-//! computation it replaced. `crates/core/tests/stream_props.rs` pins this
-//! equivalence on randomized flow sets.
+//! so a shared pipeline pass is byte-identical to running each
+//! accumulator alone over the same records ([`run_one`]).
+//! `crates/core/tests/stream_props.rs` pins this equivalence on
+//! randomized flow sets.
 //!
 //! Memory: aggregate accumulators (totals, per-day/per-role maps) hold
 //! state bounded by the analysis dimensions (days, roles, addresses),
 //! independent of flow count. Distribution accumulators keep one sample
 //! per matching flow because the byte-identity contract demands exact
-//! ECDF point sets; [`Observe::state_bytes`] reports the live state so
+//! ECDF point sets; [`Pipeline::state_bytes`] reports the live state so
 //! the streaming bench (`BENCH_stream.json`) can track both kinds.
 
 use nettrace::{FlowRecord, FlowSink};
+use std::any::Any;
+use std::marker::PhantomData;
 
 /// An incremental analysis: folds a record stream into a result.
 ///
@@ -31,7 +36,7 @@ use nettrace::{FlowRecord, FlowSink};
 /// observed records — two passes over the same stream yield identical
 /// outputs.
 pub trait Accumulate {
-    /// The finished analysis result (the legacy return type).
+    /// The finished analysis result.
     type Output;
 
     /// Fold one record into the state.
@@ -51,18 +56,15 @@ pub trait Accumulate {
     }
 }
 
-/// Object-safe view of an accumulator, so a [`Pipeline`] can hold
-/// heterogeneous registrations. Blanket-implemented for every
-/// [`Accumulate`]; never implement it directly.
-pub trait Observe {
-    /// Fold one record into the state.
+/// Object-safe view of an accumulator, so a [`Pipeline`] can own
+/// heterogeneous stages and hand each one back as its concrete type.
+trait Stage {
     fn observe_record(&mut self, flow: &FlowRecord);
-
-    /// Estimated live state size in bytes.
     fn state_bytes(&self) -> usize;
+    fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-impl<A: Accumulate> Observe for A {
+impl<A: Accumulate + 'static> Stage for A {
     fn observe_record(&mut self, flow: &FlowRecord) {
         self.observe(flow);
     }
@@ -70,40 +72,62 @@ impl<A: Accumulate> Observe for A {
     fn state_bytes(&self) -> usize {
         Accumulate::state_bytes(self)
     }
+
+    fn into_any(self: Box<Self>) -> Box<dyn Any> {
+        self
+    }
 }
 
-/// Fan one record stream out to every registered accumulator, in
-/// registration order, in a single pass.
+/// A typed claim on one stage of a [`Pipeline`], returned by
+/// [`Pipeline::add`] and redeemed once by [`Pipeline::finish`].
+#[must_use = "a stage's output is only reachable through its handle"]
+pub struct Handle<A> {
+    index: usize,
+    stage: PhantomData<fn() -> A>,
+}
+
+/// Fan one record stream out to every added accumulator, in the order
+/// they were added, in a single pass.
 ///
-/// The pipeline borrows its accumulators, so after the pass the caller
-/// still owns them and calls [`Accumulate::finish`] on each. It is a
-/// [`FlowSink`], so a monitor or driver can emit completed flows straight
-/// into the analyses without materialising a record vector.
+/// The pipeline owns its accumulators: [`add`](Pipeline::add) hands back
+/// a [`Handle`], and after the pass [`finish`](Pipeline::finish) turns
+/// that handle into the accumulator's output. It is a [`FlowSink`], so a
+/// monitor or driver can emit completed flows straight into the analyses
+/// without materialising a record vector.
 #[derive(Default)]
-pub struct Pipeline<'a> {
-    stages: Vec<&'a mut dyn Observe>,
+pub struct Pipeline {
+    /// `None` once a stage has been finished.
+    stages: Vec<Option<Box<dyn Stage>>>,
     records: u64,
 }
 
-impl<'a> Pipeline<'a> {
+impl Pipeline {
     /// An empty pipeline.
     pub fn new() -> Self {
-        Pipeline {
-            stages: Vec::new(),
-            records: 0,
+        Self::default()
+    }
+
+    /// Add an accumulator; records observed from now on are fanned out
+    /// to it (after all earlier stages).
+    pub fn add<A: Accumulate + 'static>(&mut self, acc: A) -> Handle<A> {
+        self.stages.push(Some(Box::new(acc)));
+        Handle {
+            index: self.stages.len() - 1,
+            stage: PhantomData,
         }
     }
 
-    /// Register an accumulator; records observed from now on are fanned
-    /// out to it (after all earlier registrations).
-    pub fn register(&mut self, acc: &'a mut dyn Observe) -> &mut Self {
-        self.stages.push(acc);
-        self
+    /// Take the stage behind `handle` out of the pipeline and consume it
+    /// into its output. Panics if `handle` came from another pipeline.
+    pub fn finish<A: Accumulate + 'static>(&mut self, handle: Handle<A>) -> A::Output {
+        let stage = self.stages[handle.index].take();
+        let acc = stage.and_then(|s| s.into_any().downcast::<A>().ok());
+        acc.expect("handle belongs to this pipeline").finish()
     }
 
-    /// Fan one record out to every registered accumulator.
+    /// Fan one record out to every stage.
     pub fn observe(&mut self, flow: &FlowRecord) {
-        for stage in &mut self.stages {
+        for stage in self.stages.iter_mut().flatten() {
             stage.observe_record(flow);
         }
         self.records += 1;
@@ -114,18 +138,18 @@ impl<'a> Pipeline<'a> {
         self.records
     }
 
-    /// Number of registered accumulators.
+    /// Number of stages added.
     pub fn stages(&self) -> usize {
         self.stages.len()
     }
 
-    /// Total estimated live state across all registered accumulators.
+    /// Total estimated live state across all unfinished stages.
     pub fn state_bytes(&self) -> usize {
-        self.stages.iter().map(|s| s.state_bytes()).sum()
+        self.stages.iter().flatten().map(|s| s.state_bytes()).sum()
     }
 
-    /// Drive the pipeline over an in-memory record sequence (the
-    /// compatibility path for already-materialised captures).
+    /// Drive the pipeline over an in-memory record sequence (the path
+    /// for already-materialised captures).
     pub fn run<'f>(&mut self, flows: impl IntoIterator<Item = &'f FlowRecord>) {
         for f in flows {
             self.observe(f);
@@ -133,14 +157,14 @@ impl<'a> Pipeline<'a> {
     }
 }
 
-impl FlowSink for Pipeline<'_> {
+impl FlowSink for Pipeline {
     fn accept(&mut self, flow: FlowRecord) {
         self.observe(&flow);
     }
 }
 
 /// Run a single accumulator over an in-memory record sequence — the
-/// shim every legacy whole-`Vec` entry point reduces to.
+/// shim every whole-`Vec` entry point reduces to.
 pub fn run_one<'f, A: Accumulate>(
     flows: impl IntoIterator<Item = &'f FlowRecord>,
     mut acc: A,
@@ -208,31 +232,25 @@ mod tests {
 
     #[test]
     fn pipeline_fans_out_to_all_stages() {
-        let mut a = Totals::default();
-        let mut b = Totals::default();
         let flows = vec![record(10, 20), record(1, 2)];
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut a).register(&mut b);
-            assert_eq!(p.stages(), 2);
-            p.run(&flows);
-            assert_eq!(p.records(), 2);
-            assert!(p.state_bytes() >= 2 * std::mem::size_of::<Totals>());
-        }
-        assert_eq!(a.finish(), (2, 33));
-        assert_eq!(b.finish(), (2, 33));
+        let mut p = Pipeline::new();
+        let a = p.add(Totals::default());
+        let b = p.add(Totals::default());
+        assert_eq!(p.stages(), 2);
+        p.run(&flows);
+        assert_eq!(p.records(), 2);
+        assert!(p.state_bytes() >= 2 * std::mem::size_of::<Totals>());
+        assert_eq!(p.finish(a), (2, 33));
+        assert_eq!(p.finish(b), (2, 33));
     }
 
     #[test]
     fn pipeline_is_a_flow_sink() {
-        let mut a = Totals::default();
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut a);
-            p.accept(record(5, 5));
-            p.accept(record(5, 5));
-        }
-        assert_eq!(a.finish(), (2, 20));
+        let mut p = Pipeline::new();
+        let a = p.add(Totals::default());
+        p.accept(record(5, 5));
+        p.accept(record(5, 5));
+        assert_eq!(p.finish(a), (2, 20));
     }
 
     #[test]

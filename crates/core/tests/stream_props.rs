@@ -17,7 +17,6 @@ use dropbox_analysis::sessions::{
 };
 use dropbox_analysis::stream::Pipeline;
 use dropbox_analysis::users::{infer_users, InferUsersAcc};
-use dropbox_analysis::Accumulate;
 use nettrace::flow::{DirStats, FlowClose, NotifyMeta};
 use nettrace::{Endpoint, FlowKey, FlowRecord, Ipv4};
 use simcore::proptest::{any_u64, vec_of};
@@ -155,53 +154,37 @@ fn session_key(s: &DeviceSession) -> (u64, Ipv4, SimTime, SimTime, Vec<u64>) {
 /// render the finished results (plus the live-state total) into a
 /// deterministic string.
 fn shared_pass_digest(flows: &[FlowRecord]) -> String {
-    let mut overview = OverviewAcc::default();
-    let mut totals = DropboxTotalsAcc::default();
-    let mut roles = RoleBreakdownAcc::default();
-    let mut servers = StorageServersAcc::new(DAYS);
-    let mut providers = ProviderSeriesAcc::new(DAYS);
-    let mut daily = DailyTotalAcc::new(DAYS);
-    let mut raw = RawDurationsAcc::default();
-    let mut merged = MergedSessionsAcc::default();
-    let mut devices = DistinctDevicesAcc::default();
-    let mut namespaces = NamespacesPerDeviceAcc::default();
-    let mut startups = StartupsAcc::new(DAYS);
-    let mut users = InferUsersAcc::default();
-    let mut households = HouseholdsAcc::default();
-    let state_bytes;
-    {
-        let mut p = Pipeline::new();
-        p.register(&mut overview)
-            .register(&mut totals)
-            .register(&mut roles)
-            .register(&mut servers)
-            .register(&mut providers)
-            .register(&mut daily)
-            .register(&mut raw)
-            .register(&mut merged)
-            .register(&mut devices)
-            .register(&mut namespaces)
-            .register(&mut startups)
-            .register(&mut users)
-            .register(&mut households);
-        p.run(flows);
-        state_bytes = p.state_bytes();
-    }
+    let mut p = Pipeline::new();
+    let overview = p.add(OverviewAcc::default());
+    let totals = p.add(DropboxTotalsAcc::default());
+    let roles = p.add(RoleBreakdownAcc::default());
+    let servers = p.add(StorageServersAcc::new(DAYS));
+    let providers = p.add(ProviderSeriesAcc::new(DAYS));
+    let daily = p.add(DailyTotalAcc::new(DAYS));
+    let raw = p.add(RawDurationsAcc::default());
+    let merged = p.add(MergedSessionsAcc::default());
+    let devices = p.add(DistinctDevicesAcc::default());
+    let namespaces = p.add(NamespacesPerDeviceAcc::default());
+    let startups = p.add(StartupsAcc::new(DAYS));
+    let users = p.add(InferUsersAcc::default());
+    let households = p.add(HouseholdsAcc::default());
+    p.run(flows);
+    let state_bytes = p.state_bytes();
     format!(
         "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{:?}|{state_bytes}",
-        overview.finish(),
-        totals.finish(),
-        roles.finish(),
-        servers.finish(),
-        providers.finish(),
-        daily.finish(),
-        raw.finish(),
-        merged.finish().iter().map(session_key).collect::<Vec<_>>(),
-        devices.finish(),
-        namespaces.finish(),
-        startups.finish(),
-        users.finish(),
-        households.finish(),
+        p.finish(overview),
+        p.finish(totals),
+        p.finish(roles),
+        p.finish(servers),
+        p.finish(providers),
+        p.finish(daily),
+        p.finish(raw),
+        p.finish(merged).iter().map(session_key).collect::<Vec<_>>(),
+        p.finish(devices),
+        p.finish(namespaces),
+        p.finish(startups),
+        p.finish(users),
+        p.finish(households),
     )
 }
 
@@ -219,56 +202,40 @@ proptest! {
         let mut ds = Dataset::new("Prop", true, DAYS);
         ds.flows = flows.clone();
 
-        let mut overview = OverviewAcc::default();
-        let mut totals = DropboxTotalsAcc::default();
-        let mut roles = RoleBreakdownAcc::default();
-        let mut servers = StorageServersAcc::new(DAYS);
-        let mut providers = ProviderSeriesAcc::new(DAYS);
-        let mut daily = DailyTotalAcc::new(DAYS);
-        let mut raw = RawDurationsAcc::default();
-        let mut merged = MergedSessionsAcc::default();
-        let mut devices = DistinctDevicesAcc::default();
-        let mut namespaces = NamespacesPerDeviceAcc::default();
-        let mut startups = StartupsAcc::new(DAYS);
-        let mut users = InferUsersAcc::default();
-        let mut households = HouseholdsAcc::default();
-        let records;
-        {
-            let mut p = Pipeline::new();
-            p.register(&mut overview)
-                .register(&mut totals)
-                .register(&mut roles)
-                .register(&mut servers)
-                .register(&mut providers)
-                .register(&mut daily)
-                .register(&mut raw)
-                .register(&mut merged)
-                .register(&mut devices)
-                .register(&mut namespaces)
-                .register(&mut startups)
-                .register(&mut users)
-                .register(&mut households);
-            ds.stream_into(&mut p);
-            records = p.records();
-        }
+        let mut p = Pipeline::new();
+        let overview = p.add(OverviewAcc::default());
+        let totals = p.add(DropboxTotalsAcc::default());
+        let roles = p.add(RoleBreakdownAcc::default());
+        let servers = p.add(StorageServersAcc::new(DAYS));
+        let providers = p.add(ProviderSeriesAcc::new(DAYS));
+        let daily = p.add(DailyTotalAcc::new(DAYS));
+        let raw = p.add(RawDurationsAcc::default());
+        let merged = p.add(MergedSessionsAcc::default());
+        let devices = p.add(DistinctDevicesAcc::default());
+        let namespaces = p.add(NamespacesPerDeviceAcc::default());
+        let startups = p.add(StartupsAcc::new(DAYS));
+        let users = p.add(InferUsersAcc::default());
+        let households = p.add(HouseholdsAcc::default());
+        p.run(&ds.flows);
+        let records = p.records();
         prop_assert_eq!(records, flows.len() as u64);
 
-        prop_assert_eq!(overview.finish(), ds.overview());
-        prop_assert_eq!(totals.finish(), ds.dropbox_totals());
-        prop_assert_eq!(roles.finish(), ds.role_breakdown());
-        prop_assert_eq!(servers.finish(), ds.storage_servers_per_day());
-        prop_assert_eq!(providers.finish(), ds.provider_series());
-        prop_assert_eq!(daily.finish(), ds.daily_total_bytes());
-        prop_assert_eq!(raw.finish(), raw_session_durations(&flows));
+        prop_assert_eq!(p.finish(overview), ds.overview());
+        prop_assert_eq!(p.finish(totals), ds.dropbox_totals());
+        prop_assert_eq!(p.finish(roles), ds.role_breakdown());
+        prop_assert_eq!(p.finish(servers), ds.storage_servers_per_day());
+        prop_assert_eq!(p.finish(providers), ds.provider_series());
+        prop_assert_eq!(p.finish(daily), ds.daily_total_bytes());
+        prop_assert_eq!(p.finish(raw), raw_session_durations(&flows));
         prop_assert_eq!(
-            merged.finish().iter().map(session_key).collect::<Vec<_>>(),
+            p.finish(merged).iter().map(session_key).collect::<Vec<_>>(),
             merged_sessions(&flows).iter().map(session_key).collect::<Vec<_>>()
         );
-        prop_assert_eq!(devices.finish(), distinct_devices(&flows));
-        prop_assert_eq!(namespaces.finish(), namespaces_per_device(&flows));
-        prop_assert_eq!(startups.finish(), startups_per_day(&flows, DAYS));
-        prop_assert_eq!(users.finish(), infer_users(&flows));
-        prop_assert_eq!(households.finish(), aggregate_households(&flows));
+        prop_assert_eq!(p.finish(devices), distinct_devices(&flows));
+        prop_assert_eq!(p.finish(namespaces), namespaces_per_device(&flows));
+        prop_assert_eq!(p.finish(startups), startups_per_day(&flows, DAYS));
+        prop_assert_eq!(p.finish(users), infer_users(&flows));
+        prop_assert_eq!(p.finish(households), aggregate_households(&flows));
     }
 
     /// Two pipeline passes over the same stream are identical — results

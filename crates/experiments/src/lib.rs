@@ -5,10 +5,10 @@
 //!   `workload::ShardPlan::paper` on `simcore::par`'s deterministic
 //!   fork-join executor; `--jobs N` changes wall-clock time only, never
 //!   a single output byte,
-//! * [`summary`] — the single-pass streaming summary: one
-//!   [`dropbox_analysis::Pipeline`] walk per vantage feeds every
-//!   accumulator, and tables/figures render from the resulting
-//!   [`summary::CaptureSummary`] without re-scanning flows,
+//! * [`summary`] — the single-pass streaming summary: per vantage, one
+//!   [`dropbox_analysis::Pipeline`] owns every accumulator its reports
+//!   need and feeds them all in one walk; tables/figures render from the
+//!   resulting [`summary::CaptureSummary`] without re-scanning flows,
 //! * [`report`] — plain-text/CSV report plumbing,
 //! * [`tables`] — Tables 1–5,
 //! * [`figures`] — Figures 1–21,

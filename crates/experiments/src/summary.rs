@@ -18,7 +18,8 @@
 //!
 //! Vantage-specific statistics (the Campus 2 throughput scatter, the
 //! home-network household tables, …) are only accumulated where a
-//! consumer exists, controlled by [`SummarySpec`].
+//! consumer exists: each such stage names, on the line that adds it to
+//! the pipeline, the vantage points whose reports read it.
 
 use dropbox_analysis::chunks::{estimate_chunks, reverse_payload_per_chunk, ChunkGroup};
 use dropbox_analysis::classify::{
@@ -33,7 +34,7 @@ use dropbox_analysis::sessions::{
     DevicesPerHouseholdAcc, HolidayDipAcc, HourlyProfiles, HourlyProfilesAcc,
     NamespacesPerDeviceAcc, RawDurationsAcc, StartupsAcc,
 };
-use dropbox_analysis::stream::{Observe, Pipeline};
+use dropbox_analysis::stream::Pipeline;
 use dropbox_analysis::throughput::{throughput_bps, transfer_duration, ThetaModel};
 use dropbox_analysis::Accumulate;
 use nettrace::{FlowRecord, Ipv4};
@@ -452,58 +453,30 @@ impl Accumulate for Fig20Acc {
     }
 }
 
-/// Which vantage-specific accumulators to register: statistics are only
-/// paid for where a table or figure consumes them.
-#[derive(Clone, Copy, Debug, Default)]
+/// Which capture a [`VantageSummary`] summarises. Each
+/// vantage-specific stage of [`VantageSummary::compute`] names the
+/// vantage points whose reports consume it, so statistics are only paid
+/// for where a table or figure needs them.
+#[derive(Clone, Copy, Debug)]
 pub struct SummarySpec {
-    /// Per-provider daily series (Fig. 2; Home 1).
-    pub provider_series: bool,
-    /// Dropbox/YouTube daily byte shares (Fig. 3; Campus 2).
-    pub daily_shares: bool,
-    /// Household aggregation and devices/household (Figs. 11–12,
-    /// Table 5; home networks).
-    pub households: bool,
-    /// Namespaces per device (Fig. 13; Campus 1 and Home 1).
-    pub namespaces: bool,
-    /// Throughput scatter + θ (Fig. 9; Campus 2).
-    pub fig9: bool,
-    /// Duration-floor grid (Fig. 10; Campus 2).
-    pub fig10: bool,
-    /// Up/down byte scatter (Fig. 20; Campus 1).
-    pub fig20: bool,
+    /// `None` for the Campus 1 Jun/Jul re-capture.
+    kind: Option<VantageKind>,
 }
 
 impl SummarySpec {
     /// The statistics the paper's reports consume at `kind`.
     pub fn for_kind(kind: VantageKind) -> Self {
-        match kind {
-            VantageKind::Campus1 => SummarySpec {
-                namespaces: true,
-                fig20: true,
-                ..Self::default()
-            },
-            VantageKind::Campus2 => SummarySpec {
-                daily_shares: true,
-                fig9: true,
-                fig10: true,
-                ..Self::default()
-            },
-            VantageKind::Home1 => SummarySpec {
-                provider_series: true,
-                households: true,
-                namespaces: true,
-                ..Self::default()
-            },
-            VantageKind::Home2 => SummarySpec {
-                households: true,
-                ..Self::default()
-            },
-        }
+        SummarySpec { kind: Some(kind) }
     }
 
     /// The Campus 1 Jun/Jul re-capture only feeds Table 4.
     pub fn recapture() -> Self {
-        Self::default()
+        SummarySpec { kind: None }
+    }
+
+    /// Whether the summarised capture is one of the vantage points `kinds`.
+    fn at(&self, kinds: &[VantageKind]) -> bool {
+        self.kind.is_some_and(|k| kinds.contains(&k))
     }
 }
 
@@ -518,7 +491,7 @@ pub struct VantageSummary {
     pub lan_synced: u64,
     /// Records the pipeline observed.
     pub records: u64,
-    /// Accumulator stages registered in the pipeline.
+    /// Accumulator stages in the pipeline.
     pub stages: usize,
     /// Accumulator state at the end of the pass (the peak: accumulator
     /// state only grows during a pass).
@@ -545,120 +518,102 @@ pub struct VantageSummary {
     pub hourly: HourlyProfiles,
     /// Fig. 16 raw session durations.
     pub raw_durations: Vec<f64>,
-    /// Fig. 2 per-provider series (where [`SummarySpec::provider_series`]).
+    /// Fig. 2 per-provider series (Home 1 only).
     pub provider_series: Option<BTreeMap<Provider, Vec<ProviderDay>>>,
-    /// Fig. 3 daily Dropbox bytes (where [`SummarySpec::daily_shares`]).
+    /// Fig. 3 daily Dropbox bytes (Campus 2 only).
     pub daily_dropbox: Option<Vec<u64>>,
     /// Fig. 3 daily YouTube bytes.
     pub daily_youtube: Option<Vec<u64>>,
     /// Fig. 3 daily total bytes.
     pub daily_total: Option<Vec<u64>>,
-    /// Figs. 11/12 + Table 5 households (where [`SummarySpec::households`]).
+    /// Figs. 11/12 + Table 5 households (home networks only).
     pub households: Option<BTreeMap<Ipv4, HouseholdUsage>>,
     /// Fig. 12 devices per household.
     pub devices_per_household: Option<BTreeMap<Ipv4, usize>>,
-    /// Fig. 13 namespaces per device (where [`SummarySpec::namespaces`]).
+    /// Fig. 13 namespaces per device (Campus 1 and Home 1 only).
     pub namespaces_per_device: Option<BTreeMap<u64, usize>>,
-    /// Fig. 9 scatter (where [`SummarySpec::fig9`]).
+    /// Fig. 9 scatter (Campus 2 only).
     pub fig9: Option<Fig9Data>,
-    /// Fig. 10 grid (where [`SummarySpec::fig10`]).
+    /// Fig. 10 grid (Campus 2 only).
     pub fig10: Option<Fig10Data>,
-    /// Fig. 20 scatter (where [`SummarySpec::fig20`]).
+    /// Fig. 20 scatter (Campus 1 only).
     pub fig20: Option<Fig20Data>,
 }
 
 impl VantageSummary {
     /// Fan `out`'s record stream through every accumulator `spec` asks
-    /// for — one pass, shared by all registered analyses.
+    /// for — one pass, shared by all stages.
     pub fn compute(out: &SimOutput, spec: &SummarySpec) -> Self {
+        use VantageKind::{Campus1, Campus2, Home1, Home2};
         let days = out.dataset.days;
-        let mut overview = OverviewAcc::default();
-        let mut totals = DropboxTotalsAcc::default();
-        let mut roles = RoleBreakdownAcc::default();
-        let mut servers = StorageServersAcc::new(days);
-        let mut storage = StorageFlowsAcc::default();
-        let mut rtt = RttAcc::default();
-        let mut web = WebAcc::default();
-        let mut startups = StartupsAcc::new(days);
-        let mut holiday = HolidayDipAcc::new(days);
-        let mut hourly = HourlyProfilesAcc::new(days);
-        let mut raw = RawDurationsAcc::default();
-        let mut provider_series = spec.provider_series.then(|| ProviderSeriesAcc::new(days));
-        let mut daily_dropbox = spec
-            .daily_shares
-            .then(|| DailyBytesAcc::new(Provider::Dropbox, days));
-        let mut daily_youtube = spec
-            .daily_shares
-            .then(|| DailyBytesAcc::new(Provider::YouTube, days));
-        let mut daily_total = spec.daily_shares.then(|| DailyTotalAcc::new(days));
-        let mut households = spec.households.then(HouseholdsAcc::default);
-        let mut devices = spec.households.then(DevicesPerHouseholdAcc::default);
-        let mut namespaces = spec.namespaces.then(NamespacesPerDeviceAcc::default);
-        let mut fig9 = spec.fig9.then(Fig9Acc::new);
-        let mut fig10 = spec.fig10.then(Fig10Acc::new);
-        let mut fig20 = spec.fig20.then(Fig20Acc::default);
+        let mut p = Pipeline::new();
+        let overview = p.add(OverviewAcc::default());
+        let totals = p.add(DropboxTotalsAcc::default());
+        let roles = p.add(RoleBreakdownAcc::default());
+        let servers = p.add(StorageServersAcc::new(days));
+        let storage = p.add(StorageFlowsAcc::default());
+        let rtt = p.add(RttAcc::default());
+        let web = p.add(WebAcc::default());
+        let startups = p.add(StartupsAcc::new(days));
+        let holiday = p.add(HolidayDipAcc::new(days));
+        let hourly = p.add(HourlyProfilesAcc::new(days));
+        let raw = p.add(RawDurationsAcc::default());
+        // Vantage-specific stages, each added only at the vantage points
+        // whose reports consume it.
+        let provider_series = spec
+            .at(&[Home1])
+            .then(|| p.add(ProviderSeriesAcc::new(days)));
+        let daily_dropbox = spec
+            .at(&[Campus2])
+            .then(|| p.add(DailyBytesAcc::new(Provider::Dropbox, days)));
+        let daily_youtube = spec
+            .at(&[Campus2])
+            .then(|| p.add(DailyBytesAcc::new(Provider::YouTube, days)));
+        let daily_total = spec.at(&[Campus2]).then(|| p.add(DailyTotalAcc::new(days)));
+        let households = spec
+            .at(&[Home1, Home2])
+            .then(|| p.add(HouseholdsAcc::default()));
+        let devices = spec
+            .at(&[Home1, Home2])
+            .then(|| p.add(DevicesPerHouseholdAcc::default()));
+        let namespaces = spec
+            .at(&[Campus1, Home1])
+            .then(|| p.add(NamespacesPerDeviceAcc::default()));
+        let fig9 = spec.at(&[Campus2]).then(|| p.add(Fig9Acc::new()));
+        let fig10 = spec.at(&[Campus2]).then(|| p.add(Fig10Acc::new()));
+        let fig20 = spec.at(&[Campus1]).then(|| p.add(Fig20Acc::default()));
+        p.run(&out.dataset.flows);
 
-        let (records, stages, state_bytes) = {
-            let mut p = Pipeline::new();
-            p.register(&mut overview)
-                .register(&mut totals)
-                .register(&mut roles)
-                .register(&mut servers)
-                .register(&mut storage)
-                .register(&mut rtt)
-                .register(&mut web)
-                .register(&mut startups)
-                .register(&mut holiday)
-                .register(&mut hourly)
-                .register(&mut raw);
-            // Optional stages, registered in this fixed order when enabled.
-            let optional = [
-                provider_series.as_mut().map(|a| a as &mut dyn Observe),
-                daily_dropbox.as_mut().map(|a| a as &mut dyn Observe),
-                daily_youtube.as_mut().map(|a| a as &mut dyn Observe),
-                daily_total.as_mut().map(|a| a as &mut dyn Observe),
-                households.as_mut().map(|a| a as &mut dyn Observe),
-                devices.as_mut().map(|a| a as &mut dyn Observe),
-                namespaces.as_mut().map(|a| a as &mut dyn Observe),
-                fig9.as_mut().map(|a| a as &mut dyn Observe),
-                fig10.as_mut().map(|a| a as &mut dyn Observe),
-                fig20.as_mut().map(|a| a as &mut dyn Observe),
-            ];
-            for a in optional.into_iter().flatten() {
-                p.register(a);
-            }
-            out.dataset.stream_into(&mut p);
-            (p.records(), p.stages(), p.state_bytes())
-        };
-
+        // Fields evaluate in the order written: the pass totals are read
+        // before the first `finish` takes a stage out of the pipeline.
         VantageSummary {
             name: out.dataset.name.clone(),
             days,
             lan_synced: out.lan_synced,
-            records,
-            stages,
-            state_bytes,
-            overview: overview.finish(),
-            dropbox_totals: totals.finish(),
-            role_breakdown: roles.finish(),
-            storage_servers: servers.finish(),
-            storage: storage.finish(),
-            rtt: rtt.finish(),
-            web: web.finish(),
-            startups: startups.finish(),
-            holiday_dip: holiday.finish(),
-            hourly: hourly.finish(),
-            raw_durations: raw.finish(),
-            provider_series: provider_series.map(Accumulate::finish),
-            daily_dropbox: daily_dropbox.map(Accumulate::finish),
-            daily_youtube: daily_youtube.map(Accumulate::finish),
-            daily_total: daily_total.map(Accumulate::finish),
-            households: households.map(Accumulate::finish),
-            devices_per_household: devices.map(Accumulate::finish),
-            namespaces_per_device: namespaces.map(Accumulate::finish),
-            fig9: fig9.map(Accumulate::finish),
-            fig10: fig10.map(Accumulate::finish),
-            fig20: fig20.map(Accumulate::finish),
+            records: p.records(),
+            stages: p.stages(),
+            state_bytes: p.state_bytes(),
+            overview: p.finish(overview),
+            dropbox_totals: p.finish(totals),
+            role_breakdown: p.finish(roles),
+            storage_servers: p.finish(servers),
+            storage: p.finish(storage),
+            rtt: p.finish(rtt),
+            web: p.finish(web),
+            startups: p.finish(startups),
+            holiday_dip: p.finish(holiday),
+            hourly: p.finish(hourly),
+            raw_durations: p.finish(raw),
+            provider_series: provider_series.map(|h| p.finish(h)),
+            daily_dropbox: daily_dropbox.map(|h| p.finish(h)),
+            daily_youtube: daily_youtube.map(|h| p.finish(h)),
+            daily_total: daily_total.map(|h| p.finish(h)),
+            households: households.map(|h| p.finish(h)),
+            devices_per_household: devices.map(|h| p.finish(h)),
+            namespaces_per_device: namespaces.map(|h| p.finish(h)),
+            fig9: fig9.map(|h| p.finish(h)),
+            fig10: fig10.map(|h| p.finish(h)),
+            fig20: fig20.map(|h| p.finish(h)),
         }
     }
 }
@@ -704,29 +659,24 @@ impl CaptureSummary {
 
     /// Total records observed across all five passes.
     pub fn records(&self) -> u64 {
-        self.vantages
-            .iter()
-            .chain(std::iter::once(&self.campus1_v14))
-            .map(|v| v.records)
-            .sum()
+        self.passes().map(|v| v.records).sum()
     }
 
-    /// Total accumulator stages registered across all five passes.
+    /// Total accumulator stages across all five passes.
     pub fn stages(&self) -> usize {
-        self.vantages
-            .iter()
-            .chain(std::iter::once(&self.campus1_v14))
-            .map(|v| v.stages)
-            .sum()
+        self.passes().map(|v| v.stages).sum()
     }
 
     /// Total end-of-pass accumulator state across all five passes.
     pub fn state_bytes(&self) -> usize {
+        self.passes().map(|v| v.state_bytes).sum()
+    }
+
+    /// The five passes: the four vantage points, then the re-capture.
+    fn passes(&self) -> impl Iterator<Item = &VantageSummary> {
         self.vantages
             .iter()
             .chain(std::iter::once(&self.campus1_v14))
-            .map(|v| v.state_bytes)
-            .sum()
     }
 }
 
@@ -734,11 +684,6 @@ impl CaptureSummary {
 mod tests {
     use super::*;
     use crate::run::run_capture;
-    use dropbox_analysis::groups::aggregate_households;
-    use dropbox_analysis::sessions::{
-        devices_per_household, holiday_dip, hourly_profiles, namespaces_per_device,
-        raw_session_durations, startups_per_day,
-    };
     use std::sync::OnceLock;
     use workload::FaultPlan;
 
@@ -748,76 +693,12 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_materialised_analyses() {
-        let cap = capture();
-        let sum = CaptureSummary::compute(cap);
-        for (kind, (out, v)) in VantageKind::ALL
-            .iter()
-            .zip(cap.vantages.iter().zip(&sum.vantages))
-        {
-            assert_eq!(v.name, out.dataset.name);
-            assert_eq!(v.records, out.dataset.flows.len() as u64, "{kind:?}");
-            assert_eq!(v.overview, out.dataset.overview(), "{kind:?}");
-            assert_eq!(v.dropbox_totals, out.dataset.dropbox_totals());
-            assert_eq!(v.role_breakdown, out.dataset.role_breakdown());
-            assert_eq!(v.storage_servers, out.dataset.storage_servers_per_day());
-            assert_eq!(
-                v.startups,
-                startups_per_day(&out.dataset.flows, out.dataset.days)
-            );
-            assert_eq!(
-                v.holiday_dip,
-                holiday_dip(&out.dataset.flows, out.dataset.days)
-            );
-            assert_eq!(v.raw_durations, raw_session_durations(&out.dataset.flows));
-            let hourly = hourly_profiles(&out.dataset.flows, out.dataset.days);
-            assert_eq!(v.hourly.startups, hourly.startups);
-            assert_eq!(v.hourly.active, hourly.active);
-            assert_eq!(v.hourly.store, hourly.store);
-            assert_eq!(v.hourly.retrieve, hourly.retrieve);
-        }
-        // Vantage-specific statistics land exactly where specified.
-        let h1 = sum.vantage(VantageKind::Home1);
-        assert_eq!(
-            h1.provider_series.as_ref().expect("Home 1 series"),
-            &cap.vantage(VantageKind::Home1).dataset.provider_series()
-        );
-        for kind in [VantageKind::Home1, VantageKind::Home2] {
-            let v = sum.vantage(kind);
-            let flows = &cap.vantage(kind).dataset.flows;
-            assert_eq!(
-                v.households.as_ref().expect("home households"),
-                &aggregate_households(flows)
-            );
-            assert_eq!(
-                v.devices_per_household.as_ref().expect("home devices"),
-                &devices_per_household(flows)
-            );
-        }
-        for kind in [VantageKind::Campus1, VantageKind::Home1] {
-            let v = sum.vantage(kind);
-            assert_eq!(
-                v.namespaces_per_device.as_ref().expect("namespaces"),
-                &namespaces_per_device(&cap.vantage(kind).dataset.flows)
-            );
-        }
-        let c2 = sum.vantage(VantageKind::Campus2);
-        assert_eq!(
-            c2.daily_total.as_ref().expect("daily totals"),
-            &cap.vantage(VantageKind::Campus2)
-                .dataset
-                .daily_total_bytes()
-        );
-        assert!(c2.fig9.is_some() && c2.fig10.is_some());
-        assert!(sum.vantage(VantageKind::Campus1).fig20.is_some());
-        assert!(sum.campus1_v14.fig9.is_none());
-    }
-
-    #[test]
     fn storage_samples_follow_stream_order() {
         let cap = capture();
         let sum = CaptureSummary::compute(cap);
         for (out, v) in cap.vantages.iter().zip(&sum.vantages) {
+            assert_eq!(v.name, out.dataset.name);
+            assert_eq!(v.records, out.dataset.flows.len() as u64, "{}", v.name);
             for tag in [StorageTag::Store, StorageTag::Retrieve] {
                 let sizes: Vec<f64> = out
                     .dataset
