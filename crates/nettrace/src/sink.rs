@@ -91,8 +91,13 @@ impl SpanMerge {
 
     /// Release every record in span order.
     pub fn into_flows(self) -> Vec<FlowRecord> {
-        let mut out = Vec::with_capacity(self.slots.iter().map(Vec::len).sum());
-        for span in self.slots {
+        let total = self.len();
+        let mut spans = self.slots.into_iter();
+        // The first span's buffer becomes the output, so a one-span merge
+        // moves its records without copying them.
+        let mut out = spans.next().unwrap_or_default();
+        out.reserve_exact(total - out.len());
+        for span in spans {
             out.extend(span);
         }
         out

@@ -108,6 +108,29 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
+    /// Assemble a capture from the spans of a contiguous partition of
+    /// its households, given in household order: flows and truths are
+    /// concatenated, counters summed.
+    pub(crate) fn from_spans(config: &VantageConfig, spans: Vec<SpanOutput>) -> SimOutput {
+        let mut merge = nettrace::SpanMerge::new(spans.len());
+        let mut truths = Vec::new();
+        let mut stats = VantageStats::default();
+        for (slot, span) in spans.into_iter().enumerate() {
+            merge.accept_span(slot, span.flows);
+            truths.extend(span.truths);
+            stats.absorb(span.stats);
+        }
+        let mut dataset = Dataset::new(config.kind.name(), config.expose_dns, config.days);
+        dataset.flows = merge.into_flows();
+        SimOutput {
+            dataset,
+            truths,
+            lan_synced: stats.lan_synced,
+            truth_users: stats.truth_users,
+            fault_stats: stats.fault_stats,
+        }
+    }
+
     /// The record stream with its aligned ground truth — what the
     /// validation harness folds over in a single pass.
     pub fn flows_with_truth(&self) -> impl Iterator<Item = (&FlowRecord, &Option<FlowTruth>)> {
@@ -241,6 +264,15 @@ pub struct VantageStats {
     pub fault_stats: FaultStats,
 }
 
+impl VantageStats {
+    /// Accumulate the next span's counters (spans in household order).
+    pub fn absorb(&mut self, other: VantageStats) {
+        self.lan_synced += other.lan_synced;
+        self.truth_users.extend(other.truth_users);
+        self.fault_stats.absorb(other.fault_stats);
+    }
+}
+
 /// Simulate one vantage point. `version` selects the client generation
 /// (v1.2.52 for the Mar–May capture, v1.4.0 for the Jun/Jul re-capture of
 /// Table 4). `faults` injects network and server failures: with
@@ -258,8 +290,8 @@ pub fn simulate_vantage(
     seed: u64,
     faults: &FaultPlan,
 ) -> SimOutput {
-    simulate_vantage_span(config, version, seed, faults, 0..config.addresses)
-        .into_sim_output(config)
+    let span = simulate_vantage_span(config, version, seed, faults, 0..config.addresses);
+    SimOutput::from_spans(config, vec![span])
 }
 
 /// Audited form of [`simulate_vantage`]: additionally returns the
@@ -278,7 +310,7 @@ pub fn simulate_vantage_audited(
     let mut audit = SyncAudit::new();
     let households = 0..config.addresses;
     let span = collect_span(config, version, seed, faults, households, Some(&mut audit));
-    (span.into_sim_output(config), audit)
+    (SimOutput::from_spans(config, vec![span]), audit)
 }
 
 /// Materialised output of one household-range span of a capture: the
@@ -300,21 +332,6 @@ pub struct SpanOutput {
     pub truths: Vec<Option<FlowTruth>>,
     /// The span's share of the capture-level counters.
     pub stats: VantageStats,
-}
-
-impl SpanOutput {
-    /// Repackage a full-range span as the capture-level [`SimOutput`].
-    fn into_sim_output(self, config: &VantageConfig) -> SimOutput {
-        let mut dataset = Dataset::new(config.kind.name(), config.expose_dns, config.days);
-        dataset.flows = self.flows;
-        SimOutput {
-            dataset,
-            truths: self.truths,
-            lan_synced: self.stats.lan_synced,
-            truth_users: self.stats.truth_users,
-            fault_stats: self.stats.fault_stats,
-        }
-    }
 }
 
 /// Simulate the contiguous household range `households` of one

@@ -35,11 +35,10 @@
 //! away. `DESIGN.md` §7 documents the boundary as part of the
 //! determinism contract.
 
-use crate::driver::{simulate_vantage, simulate_vantage_span, SimOutput, VantageStats};
+use crate::driver::{simulate_vantage_span, SimOutput, SpanOutput};
 use crate::vantage::{VantageConfig, VantageKind};
 use dropbox::client::ClientVersion;
 use dropbox::spec::{self, ProviderSpec};
-use dropbox_analysis::Dataset;
 use simcore::faults::FaultPlan;
 use simcore::par;
 use simcore::{Rng, ShardId};
@@ -51,7 +50,7 @@ use tcpmodel::AccessLink;
 #[derive(Clone, Debug)]
 pub struct CaptureShard {
     /// Stable identity (derived from the vantage-point name — the label
-    /// [`simulate_vantage`] has always forked its root stream from).
+    /// [`simulate_vantage`](crate::simulate_vantage) has always forked its root stream from).
     pub id: ShardId,
     /// Human-readable shard name, e.g. `campus1/days0-42/v1.2.52`.
     pub label: String,
@@ -84,7 +83,7 @@ impl CaptureShard {
     }
 
     /// The capture's independent SplitMix64-derived seed stream — exactly
-    /// the root stream [`simulate_vantage`] derives internally for this
+    /// the root stream [`simulate_vantage`](crate::simulate_vantage) derives internally for this
     /// capture.
     pub fn stream(&self, master_seed: u64) -> Rng {
         par::shard_stream(self.capture_seed(master_seed), self.id)
@@ -120,17 +119,6 @@ impl CaptureShard {
     /// Cost estimate for the whole capture.
     pub fn weight(&self, scale: f64) -> u64 {
         self.range_weight(scale, &(0..self.config(scale).addresses))
-    }
-
-    /// Simulate this whole capture. Pure: the output is a function of
-    /// `(self, scale, master_seed, faults)` only.
-    pub fn simulate(&self, scale: f64, master_seed: u64, faults: &FaultPlan) -> SimOutput {
-        simulate_vantage(
-            &self.config(scale),
-            self.version,
-            self.capture_seed(master_seed),
-            faults,
-        )
     }
 }
 
@@ -329,7 +317,7 @@ pub fn simulate_shards(
 
     // The deterministic merge, step 1: bucket completed spans by owning
     // capture, keyed by range start (schedule order -> household order).
-    let mut per_capture: Vec<Vec<(usize, crate::driver::SpanOutput)>> =
+    let mut per_capture: Vec<Vec<(usize, SpanOutput)>> =
         (0..plan.shards.len()).map(|_| Vec::new()).collect();
     for (hs, span) in work.iter().zip(spans) {
         per_capture[hs.capture].push((hs.households.start, span));
@@ -341,35 +329,13 @@ pub fn simulate_shards(
     for (ci, shard) in plan.shards.iter().enumerate() {
         let mut spans = std::mem::take(&mut per_capture[ci]);
         spans.sort_by_key(|(start, _)| *start);
-        let mut merge = nettrace::SpanMerge::new(spans.len());
-        let mut truths = Vec::new();
-        let mut stats = VantageStats {
-            lan_synced: 0,
-            truth_users: Vec::new(),
-            fault_stats: crate::driver::FaultStats::default(),
-        };
-        for (slot, (_start, span)) in spans.into_iter().enumerate() {
-            merge.accept_span(slot, span.flows);
-            truths.extend(span.truths);
-            stats.lan_synced += span.stats.lan_synced;
-            stats.truth_users.extend(span.stats.truth_users);
-            stats.fault_stats.absorb(span.stats.fault_stats);
-        }
-        let config = shard.config(scale);
-        let mut dataset = Dataset::new(shard.kind.name(), config.expose_dns, config.days);
-        dataset.flows = merge.into_flows();
+        let spans = spans.into_iter().map(|(_start, span)| span).collect();
         assert!(
             slots[shard.merge_slot].is_none(),
             "merge slot {} assigned twice",
             shard.merge_slot
         );
-        slots[shard.merge_slot] = Some(SimOutput {
-            dataset,
-            truths,
-            lan_synced: stats.lan_synced,
-            truth_users: stats.truth_users,
-            fault_stats: stats.fault_stats,
-        });
+        slots[shard.merge_slot] = Some(SimOutput::from_spans(&shard.config(scale), spans));
     }
     slots
         .into_iter()
@@ -381,6 +347,7 @@ pub fn simulate_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::simulate_vantage;
 
     #[test]
     fn paper_plan_covers_the_five_captures() {
@@ -500,12 +467,17 @@ mod tests {
 
     #[test]
     fn shard_outputs_match_direct_simulation() {
-        // The shard wrapper is plumbing, not semantics: its output must
-        // equal a direct simulate_vantage call with the historical
-        // arguments.
+        // The shard is plumbing, not semantics: simulating its config and
+        // capture seed must equal a direct simulate_vantage call with the
+        // historical arguments.
         let plan = ShardPlan::paper().truncated(3);
         let shard = &plan.shards[0]; // Campus 2, the heavy one
-        let via_shard = shard.simulate(0.012, 7, &FaultPlan::none());
+        let via_shard = simulate_vantage(
+            &shard.config(0.012),
+            shard.version,
+            shard.capture_seed(7),
+            &FaultPlan::none(),
+        );
         let mut config = VantageConfig::paper(shard.kind, 0.012);
         config.days = 3;
         let direct = simulate_vantage(&config, shard.version, 7, &FaultPlan::none());
