@@ -142,11 +142,6 @@ impl LanSync {
     pub fn served_bytes(&self) -> u64 {
         self.served_bytes
     }
-
-    /// Number of devices ever seen on this subnet.
-    pub fn known_peers(&self) -> usize {
-        self.peers.len()
-    }
 }
 
 #[cfg(test)]

@@ -1,10 +1,10 @@
 //! Tables 1–5, rendered from the single-pass [`CaptureSummary`].
 
 use crate::report::{fmt_bps, fmt_bytes, Report, TextTable};
-use crate::summary::{CaptureSummary, VantageSummary};
+use crate::summary::CaptureSummary;
 use dropbox_analysis::classify::StorageTag;
 use dropbox_analysis::groups::{table5, UserGroup};
-use simcore::stats::{median, Ecdf};
+use simcore::stats::median;
 use workload::VantageKind;
 
 /// Table 1: domain names used by the different Dropbox services.
@@ -181,9 +181,4 @@ pub fn table5_report(sum: &CaptureSummary) -> Report {
         t.render(),
     )
     .with_csv("table5.csv", t.csv())
-}
-
-/// Helper: flow-size ECDF of tagged storage flows of a vantage summary.
-pub fn storage_size_ecdf(v: &VantageSummary, tag: StorageTag) -> Ecdf {
-    Ecdf::new(v.storage.tag(tag).sizes.clone())
 }

@@ -294,11 +294,6 @@ impl Population {
     pub fn with_client(&self) -> impl Iterator<Item = &Household> {
         self.households.iter().filter(|h| h.behavior.is_some())
     }
-
-    /// Total number of Dropbox devices.
-    pub fn device_count(&self) -> usize {
-        self.households.iter().map(|h| h.devices.len()).sum()
-    }
 }
 
 /// Stable client address of the idx-th monitored endpoint.
