@@ -92,7 +92,6 @@ fn main() {
         100.0 * max_unit / serial_secs.max(f64::MIN_POSITIVE)
     );
 
-    let cores = simcore::par::available_jobs();
     let mut job_rows: Vec<Json> = vec![Json::obj([
         ("jobs", Json::U64(1)),
         ("wall_seconds", Json::F64(serial_secs)),
@@ -126,12 +125,10 @@ fn main() {
         ]));
     }
 
-    let json = Json::obj([
-        ("label", Json::Str("parallel".into())),
+    let fields = [
         ("scale", Json::F64(scale)),
         ("seed", Json::U64(seed)),
         ("sub_shards_per_capture", Json::U64(plan.sub_shards as u64)),
-        ("cores_available", Json::U64(cores as u64)),
         (
             "note",
             Json::Str(
@@ -147,7 +144,6 @@ fn main() {
         ("largest_unit_seconds", Json::F64(max_unit)),
         ("sub_shards", Json::Arr(sub_shard_rows)),
         ("jobs", Json::Arr(job_rows)),
-    ]);
-    std::fs::write("BENCH_parallel.json", json.dump() + "\n").expect("write benchmark results");
-    println!("\nwrote BENCH_parallel.json");
+    ];
+    bench::write_bench_json("parallel", fields).expect("write benchmark results");
 }

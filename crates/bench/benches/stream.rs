@@ -52,8 +52,7 @@ fn main() {
         ]));
     }
 
-    let json = Json::obj([
-        ("label", Json::Str("stream".into())),
+    let fields = [
         ("seed", Json::U64(seed)),
         ("jobs", Json::U64(jobs as u64)),
         (
@@ -66,7 +65,6 @@ fn main() {
             ),
         ),
         ("runs", Json::Arr(rows)),
-    ]);
-    std::fs::write("BENCH_stream.json", json.dump() + "\n").expect("write benchmark results");
-    println!("\nwrote BENCH_stream.json");
+    ];
+    bench::write_bench_json("stream", fields).expect("write benchmark results");
 }

@@ -6,7 +6,9 @@
 //! calibrated so a sample takes roughly 10 ms, then `sample_size`
 //! samples are collected. [`Harness::finish`] prints a summary table
 //! and writes `BENCH_<label>.json` (via `simcore::json`) with the raw
-//! numbers so runs can be diffed by tooling.
+//! numbers so runs can be diffed by tooling. Every bench, harness-driven
+//! or custom, writes its file through [`write_bench_json`], which stamps
+//! the run with the cores available and the build profile.
 
 use simcore::json::Json;
 use std::io;
@@ -148,18 +150,36 @@ impl Harness {
                 thr
             );
         }
-        let json = Json::obj([
-            ("label", Json::Str(self.label.clone())),
-            (
-                "results",
-                Json::Arr(self.records.iter().map(record_json).collect()),
-            ),
-        ]);
-        let path = format!("BENCH_{}.json", self.label);
-        std::fs::write(&path, json.dump() + "\n")?;
-        println!("\nwrote {path}");
-        Ok(())
+        let results = Json::Arr(self.records.iter().map(record_json).collect());
+        write_bench_json(&self.label, [("results", results)])
     }
+}
+
+/// Write `BENCH_<label>.json` into the working directory: the label, the
+/// cores this machine makes available (`simcore::par::available_jobs`)
+/// and the build profile, then `fields`.
+pub fn write_bench_json<'a>(
+    label: &str,
+    fields: impl IntoIterator<Item = (&'a str, Json)>,
+) -> io::Result<()> {
+    let profile = if cfg!(debug_assertions) {
+        "debug"
+    } else {
+        "release"
+    };
+    let mut all: Vec<(&str, Json)> = vec![
+        ("label", Json::Str(label.to_string())),
+        (
+            "cores_available",
+            Json::U64(simcore::par::available_jobs() as u64),
+        ),
+        ("profile", Json::Str(profile.to_string())),
+    ];
+    all.extend(fields);
+    let path = format!("BENCH_{label}.json");
+    std::fs::write(&path, Json::obj(all).dump() + "\n")?;
+    println!("\nwrote {path}");
+    Ok(())
 }
 
 fn full_name(r: &Record) -> String {
