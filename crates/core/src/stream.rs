@@ -96,9 +96,20 @@ pub struct Handle<A> {
 /// without materialising a record vector.
 #[derive(Default)]
 pub struct Pipeline {
-    /// `None` once a stage has been finished.
-    stages: Vec<Option<Box<dyn Stage>>>,
+    stages: Vec<Box<dyn Stage>>,
     records: u64,
+}
+
+/// What [`Pipeline::finish`] leaves in a stage's slot: observes nothing
+/// and holds no state.
+struct Finished;
+
+impl Accumulate for Finished {
+    type Output = ();
+
+    fn observe(&mut self, _flow: &FlowRecord) {}
+
+    fn finish(self) {}
 }
 
 impl Pipeline {
@@ -110,7 +121,7 @@ impl Pipeline {
     /// Add an accumulator; records observed from now on are fanned out
     /// to it (after all earlier stages).
     pub fn add<A: Accumulate + 'static>(&mut self, acc: A) -> Handle<A> {
-        self.stages.push(Some(Box::new(acc)));
+        self.stages.push(Box::new(acc));
         Handle {
             index: self.stages.len() - 1,
             stage: PhantomData,
@@ -120,14 +131,14 @@ impl Pipeline {
     /// Take the stage behind `handle` out of the pipeline and consume it
     /// into its output. Panics if `handle` came from another pipeline.
     pub fn finish<A: Accumulate + 'static>(&mut self, handle: Handle<A>) -> A::Output {
-        let stage = self.stages[handle.index].take();
-        let acc = stage.and_then(|s| s.into_any().downcast::<A>().ok());
+        let stage = std::mem::replace(&mut self.stages[handle.index], Box::new(Finished));
+        let acc = stage.into_any().downcast::<A>();
         acc.expect("handle belongs to this pipeline").finish()
     }
 
     /// Fan one record out to every stage.
     pub fn observe(&mut self, flow: &FlowRecord) {
-        for stage in self.stages.iter_mut().flatten() {
+        for stage in &mut self.stages {
             stage.observe_record(flow);
         }
         self.records += 1;
@@ -145,7 +156,7 @@ impl Pipeline {
 
     /// Total estimated live state across all unfinished stages.
     pub fn state_bytes(&self) -> usize {
-        self.stages.iter().flatten().map(|s| s.state_bytes()).sum()
+        self.stages.iter().map(|s| s.state_bytes()).sum()
     }
 
     /// Drive the pipeline over an in-memory record sequence (the path
