@@ -50,7 +50,8 @@ use tcpmodel::AccessLink;
 #[derive(Clone, Debug)]
 pub struct CaptureShard {
     /// Stable identity (derived from the vantage-point name — the label
-    /// [`simulate_vantage`](crate::simulate_vantage) has always forked its root stream from).
+    /// [`simulate_vantage`](crate::simulate_vantage) has always forked
+    /// its root stream from).
     pub id: ShardId,
     /// Human-readable shard name, e.g. `campus1/days0-42/v1.2.52`.
     pub label: String,
@@ -83,8 +84,8 @@ impl CaptureShard {
     }
 
     /// The capture's independent SplitMix64-derived seed stream — exactly
-    /// the root stream [`simulate_vantage`](crate::simulate_vantage) derives internally for this
-    /// capture.
+    /// the root stream [`simulate_vantage`](crate::simulate_vantage)
+    /// derives internally for this capture.
     pub fn stream(&self, master_seed: u64) -> Rng {
         par::shard_stream(self.capture_seed(master_seed), self.id)
     }
