@@ -131,7 +131,7 @@ impl FromJson for FlowClose {
 }
 
 /// A reconstructed TCP flow with the monitor's measurements.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FlowRecord {
     /// Client and server endpoints (client address anonymised on export).
     pub key: FlowKey,

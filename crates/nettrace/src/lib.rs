@@ -37,5 +37,5 @@ pub mod sink;
 
 pub use endpoint::{Endpoint, FlowKey, Ipv4};
 pub use flow::FlowRecord;
-pub use packet::{AppMarker, Packet, TcpFlags};
+pub use packet::{AppMarker, MarkerRef, Packet, Segment, TcpFlags};
 pub use sink::{FlowSink, SpanMerge};

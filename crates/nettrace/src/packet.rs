@@ -1,9 +1,17 @@
 //! Packets as observed at the vantage point.
+//!
+//! A [`Packet`] is self-describing: endpoints, header fields and its own
+//! copy of any DPI-visible content. A [`Segment`] is the compact form of
+//! one packet of a connection whose key is known: a direction bit instead
+//! of endpoints, and an index into the connection's marker list instead
+//! of the content. The TCP model emits segments and the monitor folds
+//! them; [`Segment::to_packet`] expands one into the packet it stands for.
 
-use crate::endpoint::Endpoint;
+use crate::endpoint::{Endpoint, FlowKey};
 use simcore::json::{FromJson, Json, JsonError, ToJson};
 use simcore::SimTime;
 use std::fmt;
+use std::num::NonZeroU16;
 
 /// TCP header flags (the subset the monitor cares about).
 #[derive(Clone, Copy, PartialEq, Eq, Default, Hash)]
@@ -242,6 +250,75 @@ impl Packet {
     }
 }
 
+/// Index of a segment's DPI-visible content in its connection's marker
+/// list (see [`Segment`]). Stored in 16 bits, so a connection carries at
+/// most 65 535 marked writes; [`MarkerRef::new`] checks the bound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct MarkerRef(NonZeroU16);
+
+impl MarkerRef {
+    /// Refer to entry `index` of the marker list.
+    ///
+    /// # Panics
+    /// When `index` is 65 535 or more.
+    pub fn new(index: usize) -> MarkerRef {
+        let stored = index
+            .checked_add(1)
+            .and_then(|i| u16::try_from(i).ok())
+            .and_then(NonZeroU16::new)
+            .expect("a connection carries at most 65535 marked writes");
+        MarkerRef(stored)
+    }
+
+    /// The referenced index into the marker list.
+    pub fn index(self) -> usize {
+        usize::from(self.0.get()) - 1
+    }
+}
+
+/// One TCP segment of a connection whose [`FlowKey`] is known: a
+/// [`Packet`] without its endpoints and without its own copy of the
+/// DPI-visible content.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Segment {
+    /// Capture timestamp at the probe.
+    pub ts: SimTime,
+    /// TCP sequence number (byte offset of the first payload byte).
+    pub seq: u32,
+    /// TCP acknowledgment number.
+    pub ack_no: u32,
+    /// TCP payload bytes carried by this segment.
+    pub payload_len: u32,
+    /// Header flags.
+    pub flags: TcpFlags,
+    /// Sent by the client (`key.client`), rather than by the server.
+    pub up: bool,
+    /// DPI-visible content, as an index into the connection's marker list.
+    pub marker: Option<MarkerRef>,
+}
+
+impl Segment {
+    /// The packet this segment stands for on connection `key`, with its
+    /// content looked up in the connection's `markers`.
+    pub fn to_packet(&self, key: FlowKey, markers: &[AppMarker]) -> Packet {
+        let (src, dst) = if self.up {
+            (key.client, key.server)
+        } else {
+            (key.server, key.client)
+        };
+        Packet {
+            ts: self.ts,
+            src,
+            dst,
+            seq: self.seq,
+            ack_no: self.ack_no,
+            flags: self.flags,
+            payload_len: self.payload_len,
+            marker: self.marker.map(|m| markers[m.index()].clone()),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -272,6 +349,43 @@ mod tests {
     fn wire_len_includes_headers() {
         assert_eq!(pkt(TcpFlags::ACK, 0).wire_len(), 54);
         assert_eq!(pkt(TcpFlags::ACK, 1460).wire_len(), 1514);
+    }
+
+    #[test]
+    fn segment_is_compact_and_expands_by_direction() {
+        assert_eq!(std::mem::size_of::<Segment>(), 24);
+        let key = FlowKey::new(
+            Endpoint::new(Ipv4::new(10, 0, 0, 1), 1234),
+            Endpoint::new(Ipv4::new(10, 0, 0, 2), 443),
+        );
+        let markers = [AppMarker::HttpResponse { status: 200 }];
+        let seg = Segment {
+            ts: SimTime::EPOCH,
+            seq: 7,
+            ack_no: 9,
+            payload_len: 100,
+            flags: TcpFlags::ACK,
+            up: false,
+            marker: Some(MarkerRef::new(0)),
+        };
+        let p = seg.to_packet(key, &markers);
+        assert_eq!((p.src, p.dst), (key.server, key.client));
+        assert_eq!((p.seq, p.ack_no, p.payload_len), (7, 9, 100));
+        assert_eq!(p.marker, Some(markers[0].clone()));
+        let up = Segment {
+            up: true,
+            marker: None,
+            ..seg
+        }
+        .to_packet(key, &markers);
+        assert_eq!((up.src, up.dst, up.marker), (key.client, key.server, None));
+    }
+
+    #[test]
+    fn marker_ref_round_trips_and_rejects_overflow() {
+        assert_eq!(MarkerRef::new(0).index(), 0);
+        assert_eq!(MarkerRef::new(65_534).index(), 65_534);
+        assert!(std::panic::catch_unwind(|| MarkerRef::new(65_535)).is_err());
     }
 
     #[test]

@@ -32,6 +32,6 @@ pub mod dialogue;
 pub mod params;
 pub mod tls;
 
-pub use conn::{simulate, simulate_faulty, ConnSummary};
+pub use conn::{simulate, simulate_faulty, simulate_segments, ConnSummary};
 pub use dialogue::{CloseMode, Dialogue, Direction, Message, Write};
 pub use params::{AccessLink, PathParams, TcpParams};

@@ -25,7 +25,7 @@
 #![warn(missing_docs)]
 
 use nettrace::flow::{DirStats, FlowClose, NotifyMeta};
-use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet};
+use nettrace::{AppMarker, FlowKey, FlowRecord, Ipv4, Packet, Segment};
 use simcore::SimTime;
 use std::collections::BTreeMap;
 
@@ -86,6 +86,131 @@ impl FlowState {
             rst: false,
             last_data_psh: true,
         }
+    }
+
+    /// Fold one segment of this flow (`seg.up`: sent by the client) into
+    /// the state; `marker` is the segment's DPI-visible content, already
+    /// looked up (`seg.marker` is not read). Returns whether the flow has
+    /// seen a reset.
+    fn observe(&mut self, seg: &Segment, marker: Option<&AppMarker>) -> bool {
+        self.last_packet = self.last_packet.max(seg.ts);
+
+        // --- RTT sampling (probe ↔ server semi-connection) -------------
+        if seg.up {
+            if seg.flags.syn() || seg.payload_len > 0 {
+                let seq_end = seg
+                    .seq
+                    .wrapping_add(seg.payload_len.max(if seg.flags.syn() { 1 } else { 0 }));
+                // Retransmission? (seen this sequence range before)
+                let is_rtx = seg.payload_len > 0
+                    && self.seen_up_data
+                    && seq_le(seq_end, self.max_seq_end_up);
+                if is_rtx {
+                    // Karn: stop sampling until acks pass the rtx point.
+                    self.karn_suspended = true;
+                    self.outstanding.clear();
+                } else if self.outstanding.len() < RTT_WINDOW && !self.karn_suspended {
+                    self.outstanding.push((seq_end, seg.ts));
+                }
+            }
+        } else if seg.flags.ack() {
+            // Server ACK: sample every outstanding segment it covers.
+            let mut i = 0;
+            while i < self.outstanding.len() {
+                let (seq_end, t_data) = self.outstanding[i];
+                if seq_le(seq_end, seg.ack_no) {
+                    let sample_ms = (seg.ts - t_data).as_secs_f64() * 1_000.0;
+                    self.min_rtt = Some(match self.min_rtt {
+                        Some(m) => m.min(sample_ms),
+                        None => sample_ms,
+                    });
+                    self.rtt_samples += 1;
+                    self.outstanding.swap_remove(i);
+                } else {
+                    i += 1;
+                }
+            }
+            if self.karn_suspended && self.outstanding.is_empty() {
+                self.karn_suspended = false;
+            }
+        }
+
+        // --- Per-direction counters -------------------------------------
+        let (dir, max_seq_end, seen_data) = if seg.up {
+            (
+                &mut self.up,
+                &mut self.max_seq_end_up,
+                &mut self.seen_up_data,
+            )
+        } else {
+            (
+                &mut self.down,
+                &mut self.max_seq_end_down,
+                &mut self.seen_down_data,
+            )
+        };
+        dir.packets += 1;
+        if seg.payload_len > 0 {
+            let seq_end = seg.seq.wrapping_add(seg.payload_len);
+            if *seen_data && seq_le(seq_end, *max_seq_end) {
+                dir.retransmissions += 1;
+                dir.rtx_bytes += seg.payload_len as u64;
+            } else {
+                dir.bytes += seg.payload_len as u64;
+                *max_seq_end = seq_end;
+                *seen_data = true;
+            }
+            if seg.flags.psh() {
+                dir.psh_segments += 1;
+            }
+            if dir.first_payload.is_none() {
+                dir.first_payload = Some(seg.ts);
+            }
+            dir.last_payload = Some(seg.ts);
+        }
+        if seg.payload_len > 0 {
+            self.last_data_psh = seg.flags.psh();
+        }
+
+        // --- DPI-visible content ----------------------------------------
+        if let Some(marker) = marker {
+            match marker {
+                AppMarker::TlsClientHello { sni } => {
+                    self.tls_sni.get_or_insert_with(|| sni.clone());
+                }
+                AppMarker::TlsCertificate { common_name } => {
+                    self.tls_cn.get_or_insert_with(|| common_name.clone());
+                }
+                AppMarker::HttpRequest { host, .. } => {
+                    self.http_host.get_or_insert_with(|| host.clone());
+                }
+                AppMarker::HttpResponse { .. } => {}
+                AppMarker::NotifyRequest {
+                    host,
+                    host_int,
+                    namespaces,
+                } => {
+                    self.http_host.get_or_insert_with(|| host.clone());
+                    self.notify = Some(NotifyMeta {
+                        host_int: *host_int,
+                        namespaces: namespaces.clone(),
+                    });
+                }
+            }
+        }
+
+        // --- Close tracking ----------------------------------------------
+        if seg.flags.rst() {
+            self.rst = true;
+        }
+        if seg.flags.fin() {
+            if seg.up {
+                self.fin_up = true;
+            } else {
+                self.fin_down = true;
+            }
+        }
+        self.rst
     }
 
     fn finalize(self, server_fqdn: Option<String>) -> FlowRecord {
@@ -161,7 +286,8 @@ impl Monitor {
     /// Feed one packet.
     pub fn observe(&mut self, pkt: &Packet) {
         // Determine orientation: a pure SYN identifies the client side.
-        let (key, from_client) = if pkt.flags.syn() && !pkt.flags.ack() {
+        let pure_syn = pkt.flags.syn() && !pkt.flags.ack();
+        let (key, from_client) = if pure_syn {
             (FlowKey::new(pkt.src, pkt.dst), true)
         } else if let Some(key) = self.orient(pkt) {
             key
@@ -177,7 +303,7 @@ impl Monitor {
 
         // A fresh SYN for a key already tracked (port reuse) finalizes the
         // previous incarnation.
-        if pkt.flags.syn() && !pkt.flags.ack() {
+        if pure_syn {
             self.finish(key);
         }
 
@@ -185,127 +311,19 @@ impl Monitor {
             .flows
             .entry(key)
             .or_insert_with(|| FlowState::new(key, pkt.ts));
-        state.last_packet = state.last_packet.max(pkt.ts);
-
-        // --- RTT sampling (probe ↔ server semi-connection) -------------
-        if from_client {
-            if pkt.flags.syn() || pkt.payload_len > 0 {
-                let seq_end = pkt
-                    .seq
-                    .wrapping_add(pkt.payload_len.max(if pkt.flags.syn() { 1 } else { 0 }));
-                // Retransmission? (seen this sequence range before)
-                let is_rtx = pkt.payload_len > 0
-                    && state.seen_up_data
-                    && seq_le(seq_end, state.max_seq_end_up);
-                if is_rtx {
-                    // Karn: stop sampling until acks pass the rtx point.
-                    state.karn_suspended = true;
-                    state.outstanding.clear();
-                } else if state.outstanding.len() < RTT_WINDOW && !state.karn_suspended {
-                    state.outstanding.push((seq_end, pkt.ts));
-                }
-            }
-        } else if pkt.flags.ack() {
-            // Server ACK: sample every outstanding segment it covers.
-            let mut i = 0;
-            while i < state.outstanding.len() {
-                let (seq_end, t_data) = state.outstanding[i];
-                if seq_le(seq_end, pkt.ack_no) {
-                    let sample_ms = (pkt.ts - t_data).as_secs_f64() * 1_000.0;
-                    state.min_rtt = Some(match state.min_rtt {
-                        Some(m) => m.min(sample_ms),
-                        None => sample_ms,
-                    });
-                    state.rtt_samples += 1;
-                    state.outstanding.swap_remove(i);
-                } else {
-                    i += 1;
-                }
-            }
-            if state.karn_suspended && state.outstanding.is_empty() {
-                state.karn_suspended = false;
-            }
-        }
-
-        // --- Per-direction counters -------------------------------------
-        let (dir, max_seq_end, seen_data) = if from_client {
-            (
-                &mut state.up,
-                &mut state.max_seq_end_up,
-                &mut state.seen_up_data,
-            )
-        } else {
-            (
-                &mut state.down,
-                &mut state.max_seq_end_down,
-                &mut state.seen_down_data,
-            )
+        let seg = Segment {
+            ts: pkt.ts,
+            seq: pkt.seq,
+            ack_no: pkt.ack_no,
+            payload_len: pkt.payload_len,
+            flags: pkt.flags,
+            up: from_client,
+            marker: None,
         };
-        dir.packets += 1;
-        if pkt.payload_len > 0 {
-            let seq_end = pkt.seq.wrapping_add(pkt.payload_len);
-            if *seen_data && seq_le(seq_end, *max_seq_end) {
-                dir.retransmissions += 1;
-                dir.rtx_bytes += pkt.payload_len as u64;
-            } else {
-                dir.bytes += pkt.payload_len as u64;
-                *max_seq_end = seq_end;
-                *seen_data = true;
-            }
-            if pkt.flags.psh() {
-                dir.psh_segments += 1;
-            }
-            if dir.first_payload.is_none() {
-                dir.first_payload = Some(pkt.ts);
-            }
-            dir.last_payload = Some(pkt.ts);
-        }
-        if pkt.payload_len > 0 {
-            state.last_data_psh = pkt.flags.psh();
-        }
-
-        // --- DPI-visible content ----------------------------------------
-        if let Some(marker) = &pkt.marker {
-            match marker {
-                AppMarker::TlsClientHello { sni } => {
-                    state.tls_sni.get_or_insert_with(|| sni.clone());
-                }
-                AppMarker::TlsCertificate { common_name } => {
-                    state.tls_cn.get_or_insert_with(|| common_name.clone());
-                }
-                AppMarker::HttpRequest { host, .. } => {
-                    state.http_host.get_or_insert_with(|| host.clone());
-                }
-                AppMarker::HttpResponse { .. } => {}
-                AppMarker::NotifyRequest {
-                    host,
-                    host_int,
-                    namespaces,
-                } => {
-                    state.http_host.get_or_insert_with(|| host.clone());
-                    state.notify = Some(NotifyMeta {
-                        host_int: *host_int,
-                        namespaces: namespaces.clone(),
-                    });
-                }
-            }
-        }
-
-        // --- Close tracking ----------------------------------------------
-        if pkt.flags.rst() {
-            state.rst = true;
-        }
-        if pkt.flags.fin() {
-            if from_client {
-                state.fin_up = true;
-            } else {
-                state.fin_down = true;
-            }
-        }
         // A reset is the last packet of a connection: finalize eagerly.
         // Orderly FIN closes are finalized lazily (at flush or on port
         // reuse) because the final ACK still belongs to the flow.
-        if state.rst {
+        if state.observe(&seg, pkt.marker.as_ref()) {
             self.finish(key);
         }
     }
@@ -382,6 +400,54 @@ impl Monitor {
             }
         }
         self.done.pop()
+    }
+
+    /// Process the complete segment trace of connection `key`
+    /// (`Segment::up`: sent by `key.client`), with the content its
+    /// segments refer to in `markers`, and return its record.
+    ///
+    /// Returns exactly what [`Monitor::process_flow`] returns for the
+    /// expanded packets and leaves the monitor in the same state. A trace
+    /// of one connection incarnation, opened by the client's SYN and ended
+    /// by at most one RST, on a monitor that tracks no flow, is folded
+    /// into a local flow state with no map lookups. Any other shape (a
+    /// packet after an RST, a second pure SYN, a first packet that is not
+    /// the client's pure SYN, or an empty trace) is expanded to packets
+    /// and handed to `process_flow`.
+    pub fn process_segments(
+        &mut self,
+        key: FlowKey,
+        segments: &[Segment],
+        markers: &[AppMarker],
+    ) -> Option<FlowRecord> {
+        if !self.folds(key, segments) {
+            let packets: Vec<Packet> = segments.iter().map(|s| s.to_packet(key, markers)).collect();
+            return self.process_flow(&packets);
+        }
+        let mut state = FlowState::new(key, segments[0].ts);
+        for seg in segments {
+            state.observe(seg, seg.marker.map(|m| &markers[m.index()]));
+        }
+        let fqdn = self.dns_view.get(&key.server.ip).cloned();
+        Some(state.finalize(fqdn))
+    }
+
+    /// Whether `process_flow` would turn `segments` into exactly one
+    /// record of `key`, built from a fresh state and touching no other
+    /// monitor state: see [`Monitor::process_segments`].
+    fn folds(&self, key: FlowKey, segments: &[Segment]) -> bool {
+        let pure_syn = |s: &Segment| s.flags.syn() && !s.flags.ack();
+        let Some((first, rest)) = segments.split_first() else {
+            return false;
+        };
+        // A key whose two ends coincide orients every packet as the
+        // client's, which the direction bit cannot express.
+        self.flows.is_empty()
+            && key.client != key.server
+            && first.up
+            && pure_syn(first)
+            && !rest.iter().any(pure_syn)
+            && !segments[..segments.len() - 1].iter().any(|s| s.flags.rst())
     }
 }
 
