@@ -21,7 +21,7 @@ use dropbox_analysis::throughput::throughput_bps;
 use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::tls;
-use tcpmodel::{simulate, Dialogue, Direction, Message, PathParams, TcpParams};
+use tcpmodel::{simulate_segments, Dialogue, Direction, Message, PathParams, TcpParams};
 use tstat::Monitor;
 
 fn key() -> FlowKey {
@@ -79,21 +79,24 @@ pub fn initcwnd_ablation() -> Report {
             ..TcpParams::era_2012_v1()
         };
         let d = single_chunk_dialogue(100_000);
-        let mut packets = Vec::new();
-        let summary = simulate(
+        let (mut segments, mut markers) = (Vec::new(), Vec::new());
+        let summary = simulate_segments(
             SimTime::from_secs(1),
-            key(),
             &d,
             &path(100, 0.0),
             &tcp,
+            None,
             &mut Rng::new(1),
-            &mut packets,
+            &mut segments,
+            &mut markers,
         );
         // Handshake completion = delivery of the server's final TLS flight
         // (message index 3), measured from the first SYN.
         let hs_done = summary.deliveries[3].saturating_since(SimTime::from_secs(1));
         let mut monitor = Monitor::new(true);
-        let rec = monitor.process_flow(&packets).expect("record");
+        let rec = monitor
+            .process_segments(key(), &segments, &markers)
+            .expect("record");
         let thr = throughput_bps(&rec).unwrap_or(0.0);
         handshakes.push((initcwnd, hs_done));
         t.row(vec![
@@ -137,18 +140,21 @@ pub fn loss_ablation() -> Report {
     let mut base = 0.0f64;
     for loss_pct in [0.0f64, 0.1, 0.5, 1.0, 2.0, 5.0] {
         let d = single_chunk_dialogue(size);
-        let mut packets = Vec::new();
-        simulate(
+        let (mut segments, mut markers) = (Vec::new(), Vec::new());
+        simulate_segments(
             SimTime::from_secs(1),
-            key(),
             &d,
             &path(100, loss_pct / 100.0),
             &TcpParams::era_2012_v1(),
+            None,
             &mut Rng::new(2),
-            &mut packets,
+            &mut segments,
+            &mut markers,
         );
         let mut monitor = Monitor::new(true);
-        let rec = monitor.process_flow(&packets).expect("record");
+        let rec = monitor
+            .process_segments(key(), &segments, &markers)
+            .expect("record");
         let thr = throughput_bps(&rec).unwrap_or(0.0);
         if loss_pct == 0.0 {
             base = thr;

@@ -31,7 +31,7 @@ use dropbox_analysis::throughput::{throughput_bps, transfer_duration};
 use nettrace::{Endpoint, FlowKey, FlowRecord, Ipv4};
 use simcore::stats::Ecdf;
 use simcore::{Rng, SimDuration, SimTime};
-use tcpmodel::{simulate, AccessLink, PathParams, TcpParams};
+use tcpmodel::{simulate_segments, AccessLink, PathParams, TcpParams};
 use tstat::Monitor;
 use workload::shard::ShardPlan;
 use workload::{simulate_shards, FaultPlan, SimOutput, VantageKind};
@@ -242,23 +242,24 @@ pub fn folder_sync_secs(
         ClientVersion::V1_4_0 => TcpParams::era_2012_v14(),
     };
     let mut total = 0.0f64;
+    let (mut segments, mut markers) = (Vec::new(), Vec::new());
     for flow in &flows {
         let key = FlowKey::new(
             Endpoint::new(Ipv4::new(10, 0, 0, 2), 40_000),
             Endpoint::new(Ipv4::new(107, 22, 0, 5), flow.port),
         );
-        let mut packets = Vec::new();
-        simulate(
+        simulate_segments(
             SimTime::from_secs(1),
-            key,
             &flow.dialogue,
             &path,
             &tcp,
+            None,
             &mut rng,
-            &mut packets,
+            &mut segments,
+            &mut markers,
         );
         let mut monitor = Monitor::new(true);
-        if let Some(rec) = monitor.process_flow(&packets) {
+        if let Some(rec) = monitor.process_segments(key, &segments, &markers) {
             total += transfer_duration(&rec)
                 .map(|d| d.as_secs_f64())
                 .unwrap_or(0.0);

@@ -20,7 +20,9 @@ use dropbox_analysis::throughput::throughput_bps;
 use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
 use tcpmodel::tls;
-use tcpmodel::{simulate, CloseMode, Dialogue, Direction, Message, PathParams, TcpParams, Write};
+use tcpmodel::{
+    simulate_segments, CloseMode, Dialogue, Direction, Message, PathParams, TcpParams, Write,
+};
 use tstat::Monitor;
 
 /// Protocol variant under test.
@@ -139,18 +141,21 @@ fn measure(variant: Variant, n: u32, chunk_bytes: u32, rtt_ms: u64, seed: u64) -
         Variant::PerChunkAck => TcpParams::era_2012_v1(),
         _ => TcpParams::era_2012_v14(),
     };
-    let mut packets = Vec::new();
-    simulate(
+    let (mut segments, mut markers) = (Vec::new(), Vec::new());
+    simulate_segments(
         SimTime::from_secs(1),
-        key,
         &d,
         &path,
         &tcp,
+        None,
         &mut rng,
-        &mut packets,
+        &mut segments,
+        &mut markers,
     );
     let mut monitor = Monitor::new(true);
-    let rec = monitor.process_flow(&packets).expect("record");
+    let rec = monitor
+        .process_segments(key, &segments, &markers)
+        .expect("record");
     let thr = throughput_bps(&rec).unwrap_or(0.0);
     let dur = dropbox_analysis::throughput::transfer_duration(&rec)
         .map(|x| x.as_secs_f64())

@@ -2,9 +2,12 @@
 //! the passive monitor.
 //!
 //! The boundary between "the network" and "the measurement system" in this
-//! reproduction is the [`packet::Packet`]: the TCP model emits packets as
-//! they cross the vantage point, and the `tstat` crate consumes them without
-//! access to any generator state — exactly like a probe on a live link. What
+//! reproduction is the packet: the TCP model emits each connection's
+//! packets as they cross the vantage point, and the `tstat` crate consumes
+//! them without access to any generator state — exactly like a probe on a
+//! live link. The capture passes them as compact [`packet::Segment`]s of a
+//! known connection; [`packet::Packet`] is the self-describing form that
+//! pcap export and the general monitor input take. What
 //! a DPI probe could legitimately read from the wire (TLS handshake server
 //! names, cleartext HTTP, the cleartext notification payloads) is carried by
 //! [`packet::AppMarker`]; everything else about a packet is sizes, flags,

@@ -1,8 +1,13 @@
 //! The per-connection TCP simulator.
 //!
-//! [`simulate`] plays a [`Dialogue`] over a modelled path and appends every
-//! packet that crosses the vantage-point probe to the output buffer, in
-//! chronological order. The transfer engine is round-based: each RTT the
+//! [`simulate_segments`] plays a [`Dialogue`] over a modelled path and
+//! writes every segment that crosses the vantage-point probe into a reused
+//! buffer, in probe order, as compact [`Segment`]s: a direction bit, the
+//! header fields, and an index into a per-connection marker list that
+//! holds one clone of each marked write's DPI-visible content. The capture
+//! folds those straight into the monitor. [`simulate_faulty`] and
+//! [`simulate`] are the packet tee: the same run expanded into
+//! self-describing [`Packet`]s. The transfer engine is round-based: each RTT the
 //! sender emits up to a congestion window of segments, the receiver
 //! acknowledges (delayed ACKs), and the window evolves by slow start /
 //! congestion avoidance, with fast-retransmit and RTO recovery on loss.
@@ -95,55 +100,8 @@ impl Sender {
     }
 }
 
-/// Everything needed to emit probe-timestamped packets.
-struct Wire<'a> {
-    key: FlowKey,
-    path: &'a PathParams,
-    out: &'a mut Vec<Packet>,
-    last_ts: SimTime,
-}
-
-impl Wire<'_> {
-    /// One-way latency from the sender of `dir` to the probe.
-    fn to_probe(&self, dir: Direction) -> SimDuration {
-        match dir {
-            Direction::Up => self.path.inner_rtt / 2,
-            Direction::Down => self.path.outer_rtt / 2,
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        &mut self,
-        dir: Direction,
-        send_time: SimTime,
-        seq: u32,
-        ack_no: u32,
-        flags: TcpFlags,
-        payload: u32,
-        marker: Option<AppMarker>,
-    ) {
-        let ts = send_time + self.to_probe(dir);
-        let (src, dst) = match dir {
-            Direction::Up => (self.key.client, self.key.server),
-            Direction::Down => (self.key.server, self.key.client),
-        };
-        self.last_ts = self.last_ts.max(ts);
-        self.out.push(Packet {
-            ts,
-            src,
-            dst,
-            seq,
-            ack_no,
-            flags,
-            payload_len: payload,
-            marker,
-        });
-    }
-}
-
-/// Simulate one connection; packets are appended to `out` and then the
-/// appended range is sorted by probe timestamp.
+/// Simulate one connection; its packets are appended to `out` in probe
+/// order. The packet form of [`simulate_segments`], without faults.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate(
     start: SimTime,
@@ -157,15 +115,10 @@ pub fn simulate(
     simulate_faulty(start, key, dialogue, path, tcp, None, rng, out)
 }
 
-/// [`simulate`] with an optional fault profile layered on top of the
-/// path: extra segment loss raises retransmissions and shrinks the
-/// congestion window, a latency spike stretches every round trip, and
-/// `reset_after_bytes` cuts the connection (client RST) once that much
-/// payload — both directions combined — has been put on the wire.
-///
-/// `faults: None` (and an all-default profile) takes exactly the code
-/// paths of the plain simulator: same packets, same RNG draws,
-/// byte-for-byte identical output.
+/// [`simulate_segments`] with its segments expanded into the packets of
+/// connection `key`, appended to `out` in probe order: the packet tee for
+/// pcap export, protocol ladders and callers that want self-describing
+/// packets. Same summary, same RNG draws.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_faulty(
     start: SimTime,
@@ -177,370 +130,30 @@ pub fn simulate_faulty(
     rng: &mut Rng,
     out: &mut Vec<Packet>,
 ) -> ConnSummary {
-    let spike = faults
-        .and_then(|f| f.latency_spike)
-        .unwrap_or(SimDuration::ZERO);
-    let extra_loss = faults.map(|f| f.extra_loss).unwrap_or(0.0);
-    let reset_after = faults.and_then(|f| f.reset_after_bytes);
-
-    let first_new = out.len();
-    let mut wire = Wire {
-        key,
+    let (mut segments, mut markers) = (Vec::new(), Vec::new());
+    let summary = simulate_segments(
+        start,
+        dialogue,
         path,
-        out,
-        last_ts: start,
-    };
-    let total_rtt = path.total_rtt() + spike;
-
-    // --- Three-way handshake -------------------------------------------
-    // SYN / SYN-ACK / ACK. Handshake loss is not modelled (negligible for
-    // every analysis in the paper).
-    wire.emit(Direction::Up, start, 0, 0, TcpFlags::SYN, 0, None);
-    let synack_time = start + total_rtt / 2;
-    wire.emit(
-        Direction::Down,
-        synack_time,
-        0,
-        1,
-        TcpFlags::SYN.union(TcpFlags::ACK),
-        0,
-        None,
+        tcp,
+        faults,
+        rng,
+        &mut segments,
+        &mut markers,
     );
-    let established = start + total_rtt;
-    wire.emit(Direction::Up, established, 1, 1, TcpFlags::ACK, 0, None);
-
-    let mut up = Sender::new(tcp.client_initcwnd, established);
-    let mut down = Sender::new(tcp.server_initcwnd, established);
-    // Cumulative bytes received per direction (for ACK numbers).
-    let mut recvd_up: u32 = 1;
-    let mut recvd_down: u32 = 1;
-
-    let mut deliveries = Vec::with_capacity(dialogue.messages.len());
-    // Time at which the next message may be triggered.
-    let mut ready = established;
-    // Payload bytes on the wire in both directions, for the reset trigger.
-    let mut total_payload_sent: u64 = 0;
-    let mut aborted = false;
-    let mut abort_at = established;
-
-    'msgs: for msg in &dialogue.messages {
-        let trigger = ready + msg.delay;
-        let mut clock = trigger;
-        // The peer only sends ACKs during this message, so its sequence
-        // number is fixed for the duration; capture it before borrowing.
-        let peer_next_seq = match msg.dir {
-            Direction::Up => down.next_seq,
-            Direction::Down => up.next_seq,
-        };
-        let sender = match msg.dir {
-            Direction::Up => &mut up,
-            Direction::Down => &mut down,
-        };
-        sender.maybe_idle_restart(trigger, tcp.idle_restart);
-
-        // Build the segment plan for the whole message: (len, psh, marker).
-        let mut segments: Vec<(u32, bool, Option<AppMarker>)> = Vec::new();
-        for w in &msg.writes {
-            debug_assert!(w.size > 0, "zero-size write");
-            let mut remaining = w.size;
-            let mut first = true;
-            while remaining > 0 {
-                let len = remaining.min(tcp.mss);
-                remaining -= len;
-                let marker = if first { w.marker.clone() } else { None };
-                first = false;
-                segments.push((len, remaining == 0, marker));
-            }
-        }
-
-        let rate = match msg.dir {
-            Direction::Up => path.up_rate,
-            Direction::Down => path.down_rate,
-        };
-
-        // Round-based transfer with a retransmission queue.
-        let mut idx = 0usize; // next fresh segment
-        let mut rtx_queue: Vec<(u32, u32, bool)> = Vec::new(); // (seq, len, psh)
-        let mut last_arrival = clock;
-        while idx < segments.len() || !rtx_queue.is_empty() {
-            let rtt_round = total_rtt.mul_f64(1.0 + path.jitter * rng.f64());
-            let window = (sender.cwnd as u32).clamp(1, tcp.rwnd_segments) as usize;
-
-            // Compose this round's burst: retransmissions first.
-            let mut burst: Vec<(u32, u32, bool, Option<AppMarker>, bool)> = Vec::new();
-            for &(seq, len, psh) in rtx_queue.iter().take(window) {
-                burst.push((seq, len, psh, None, true));
-            }
-            let rtx_in_burst = burst.len();
-            rtx_queue.drain(..rtx_in_burst);
-            while burst.len() < window && idx < segments.len() {
-                let (len, psh, marker) = segments[idx].clone();
-                burst.push((sender.next_seq, len, psh, marker, false));
-                sender.next_seq = sender.next_seq.wrapping_add(len);
-                idx += 1;
-            }
-
-            let burst_bytes: u64 = burst.iter().map(|s| s.1 as u64).sum();
-            // Serialisation time under an access-rate cap.
-            let serialize = rate
-                .map(|r| SimDuration::from_secs_f64(burst_bytes as f64 / r as f64))
-                .unwrap_or(SimDuration::ZERO);
-
-            let base_loss = match msg.dir {
-                Direction::Up => path.loss_up,
-                Direction::Down => path.loss_down,
-            };
-            let loss_p = if extra_loss > 0.0 {
-                (base_loss + extra_loss).min(0.9)
-            } else {
-                base_loss
-            };
-
-            let peer_ack_base = match msg.dir {
-                Direction::Up => recvd_down, // server acks carry its own recv count
-                Direction::Down => recvd_up,
-            };
-
-            let mut delivered = 0usize;
-            let mut lost: Vec<(u32, u32, bool)> = Vec::new();
-            let mut first_hole: Option<u32> = None;
-            let n = burst.len();
-            for (i, (seq, len, psh, marker, is_rtx)) in burst.into_iter().enumerate() {
-                // Spread segments across the serialisation window.
-                let offset = if n > 1 {
-                    serialize.mul_f64(i as f64 / n as f64)
-                } else {
-                    SimDuration::ZERO
-                };
-                let send_t = clock + offset;
-                let mut flags = TcpFlags::ACK;
-                if psh {
-                    flags = flags.union(TcpFlags::PSH);
-                }
-                wire.emit(msg.dir, send_t, seq, peer_ack_base, flags, len, marker);
-                sender.bytes_sent += len as u64;
-                total_payload_sent += len as u64;
-                if is_rtx {
-                    sender.rtx_segments += 1;
-                    sender.rtx_bytes += len as u64;
-                }
-                let dropped = loss_p > 0.0 && rng.chance(loss_p);
-                if dropped && !is_rtx {
-                    lost.push((seq, len, psh));
-                    if first_hole.is_none() {
-                        first_hole = Some(seq);
-                    }
-                } else {
-                    delivered += 1;
-                    // Receiver-side bookkeeping happens below.
-                    let arrival = send_t + rtt_round / 2;
-                    last_arrival = last_arrival.max(arrival);
-                }
-            }
-
-            // Receiver ACKs: cumulative up to the first hole; one delayed
-            // ACK per two delivered segments (at least one).
-            let delivered_bytes: u32 = if lost.is_empty() {
-                burst_bytes as u32
-            } else {
-                // Bytes before the first hole.
-                let hole = first_hole.expect("hole recorded");
-                hole.wrapping_sub(match msg.dir {
-                    Direction::Up => recvd_up,
-                    Direction::Down => recvd_down,
-                })
-            };
-            let new_recvd = match msg.dir {
-                Direction::Up => {
-                    recvd_up = recvd_up.wrapping_add(delivered_bytes);
-                    recvd_up
-                }
-                Direction::Down => {
-                    recvd_down = recvd_down.wrapping_add(delivered_bytes);
-                    recvd_down
-                }
-            };
-            if delivered > 0 {
-                let n_acks = delivered.div_ceil(2);
-                let ack_time = clock + serialize + rtt_round / 2;
-                for a in 0..n_acks {
-                    // Dup-ACKs all carry the same cumulative number when a
-                    // hole exists; spacing is cosmetic.
-                    let t = ack_time + SimDuration::from_micros(a as u64 * 50);
-                    wire.emit(
-                        msg.dir.flip(),
-                        t,
-                        peer_next_seq,
-                        new_recvd,
-                        TcpFlags::ACK,
-                        0,
-                        None,
-                    );
-                }
-            }
-
-            // Window evolution and next-round clock.
-            if lost.is_empty() {
-                sender.on_ack_progress(delivered as u32);
-                clock = clock + serialize.max(SimDuration::ZERO) + rtt_round;
-                // When everything has been sent we do not need to wait for
-                // the final ACK round to trigger the peer's reply: the peer
-                // reacts to the *arrival* of the data. `clock` advances for
-                // the sender only.
-            } else {
-                let fast = delivered >= 3;
-                sender.on_loss(fast);
-                rtx_queue.splice(0..0, lost);
-                let recovery = if fast {
-                    rtt_round
-                } else {
-                    tcp.min_rto.max(rtt_round * 2)
-                };
-                clock = clock + serialize + recovery;
-            }
-
-            // Mid-flow reset: once enough payload is on the wire the
-            // connection dies at the end of this round; the rest of the
-            // dialogue (including its close) never happens.
-            if let Some(threshold) = reset_after {
-                if total_payload_sent >= threshold {
-                    aborted = true;
-                    abort_at = clock;
-                    break 'msgs;
-                }
-            }
-        }
-        sender.last_activity = clock;
-        // Delivery: when the last byte reached the receiver.
-        deliveries.push(last_arrival);
-        ready = last_arrival;
-    }
-
-    // --- Close ----------------------------------------------------------
-    if aborted {
-        // The fault profile cut the flow: the client tears down with a
-        // bare RST and nothing else is exchanged.
-        wire.emit(
-            Direction::Up,
-            abort_at,
-            up.next_seq,
-            recvd_down,
-            TcpFlags::RST,
-            0,
-            None,
-        );
-        let last_packet = wire.last_ts;
-        out[first_new..].sort_by_key(|p| p.ts);
-        return ConnSummary {
-            established,
-            last_packet,
-            deliveries,
-            bytes_up: up.bytes_sent,
-            bytes_down: down.bytes_sent,
-            rtx_up: up.rtx_segments,
-            rtx_down: down.rtx_segments,
-            rtx_bytes_up: up.rtx_bytes,
-            rtx_bytes_down: down.rtx_bytes,
-            aborted: true,
-        };
-    }
-    match dialogue.close {
-        CloseMode::ServerIdleTimeout { idle, alert_size } => {
-            let t = ready + idle;
-            // Alert (PSH) + FIN in one segment, then client RST.
-            wire.emit(
-                Direction::Down,
-                t,
-                down.next_seq,
-                recvd_up,
-                TcpFlags::PSH.union(TcpFlags::ACK).union(TcpFlags::FIN),
-                alert_size,
-                None,
-            );
-            down.bytes_sent += alert_size as u64;
-            let rst_t = t + total_rtt / 2;
-            wire.emit(
-                Direction::Up,
-                rst_t,
-                up.next_seq,
-                recvd_down,
-                TcpFlags::RST,
-                0,
-                None,
-            );
-        }
-        CloseMode::ClientFin { delay } => {
-            let t = ready + delay;
-            wire.emit(
-                Direction::Up,
-                t,
-                up.next_seq,
-                recvd_down,
-                TcpFlags::FIN.union(TcpFlags::ACK),
-                0,
-                None,
-            );
-            let t2 = t + total_rtt / 2;
-            wire.emit(
-                Direction::Down,
-                t2,
-                down.next_seq,
-                recvd_up.wrapping_add(1),
-                TcpFlags::FIN.union(TcpFlags::ACK),
-                0,
-                None,
-            );
-            wire.emit(
-                Direction::Up,
-                t + total_rtt,
-                up.next_seq.wrapping_add(1),
-                recvd_down.wrapping_add(1),
-                TcpFlags::ACK,
-                0,
-                None,
-            );
-        }
-        CloseMode::ClientRst { delay } => {
-            let t = ready + delay;
-            wire.emit(
-                Direction::Up,
-                t,
-                up.next_seq,
-                recvd_down,
-                TcpFlags::RST,
-                0,
-                None,
-            );
-        }
-        CloseMode::LeftOpen => {}
-    }
-
-    let last_packet = wire.last_ts;
-    out[first_new..].sort_by_key(|p| p.ts);
-
-    ConnSummary {
-        established,
-        last_packet,
-        deliveries,
-        bytes_up: up.bytes_sent,
-        bytes_down: down.bytes_sent,
-        rtx_up: up.rtx_segments,
-        rtx_down: down.rtx_segments,
-        rtx_bytes_up: up.rtx_bytes,
-        rtx_bytes_down: down.rtx_bytes,
-        aborted: false,
-    }
+    out.extend(segments.iter().map(|s| s.to_packet(key, &markers)));
+    summary
 }
 
 /// Everything needed to emit probe-timestamped segments.
-struct SegmentWire<'a> {
+struct Wire<'a> {
     path: &'a PathParams,
     segments: &'a mut Vec<Segment>,
     markers: &'a mut Vec<AppMarker>,
     last_ts: SimTime,
 }
 
-impl SegmentWire<'_> {
+impl Wire<'_> {
     /// One-way latency from the sender of `dir` to the probe.
     fn to_probe(&self, dir: Direction) -> SimDuration {
         match dir {
@@ -608,7 +221,7 @@ pub fn simulate_segments(
 
     segments.clear();
     markers.clear();
-    let mut wire = SegmentWire {
+    let mut wire = Wire {
         path,
         segments,
         markers,

@@ -1,10 +1,12 @@
 //! Segment-level TCP connection model with a TLS overlay.
 //!
-//! Every TCP connection in the simulation is produced by [`simulate`]: given
-//! a [`Dialogue`] (the application-level message exchange), a [`PathParams`]
-//! (RTTs, loss, access rate) and [`TcpParams`] (MSS, initial windows), it
-//! emits the chronological packet stream that crosses the vantage-point
-//! probe. The model implements the TCP mechanics the paper's performance
+//! Every TCP connection in the simulation is produced by
+//! [`simulate_segments`]: given a [`Dialogue`] (the application-level
+//! message exchange), a [`PathParams`] (RTTs, loss, access rate) and
+//! [`TcpParams`] (MSS, initial windows), it emits the segments that cross
+//! the vantage-point probe, in probe order, as compact
+//! [`nettrace::Segment`]s. [`simulate_faulty`] and [`simulate`] expand the
+//! same run into self-describing packets. The model implements the TCP mechanics the paper's performance
 //! section depends on:
 //!
 //! * 3-way handshake; RTT measurable from SYN/SYN-ACK at the probe,

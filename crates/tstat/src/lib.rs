@@ -1,8 +1,21 @@
 //! A Tstat-like passive monitor.
 //!
-//! [`Monitor`] reconstructs per-TCP-flow metrics from the packet stream
-//! crossing the vantage point, exactly as the paper's instrumented Tstat
-//! does (Sec. 3.1):
+//! [`Monitor`] reconstructs per-TCP-flow metrics from the traffic crossing
+//! the vantage point, exactly as the paper's instrumented Tstat does
+//! (Sec. 3.1). It has two inputs that share one per-segment body
+//! (`FlowState::observe`):
+//!
+//! * the capture's hot path, [`Monitor::process_segments`]: the compact
+//!   segment trace of one connection, as the TCP model emits it, folded
+//!   into a local flow state with no map lookups (shapes the fold cannot
+//!   take exactly, such as a packet after an RST, go to the packet input);
+//! * the general packet input, [`Monitor::observe`] and
+//!   [`Monitor::process_flow`], which orients each self-describing
+//!   packet onto a tracked flow (port reuse, trimmed captures, interleaved
+//!   connections) and serves the packet tee: pcap export, protocol ladders
+//!   and tests.
+//!
+//! Per flow it measures:
 //!
 //! * byte/packet/PSH counters per direction and payload timestamps,
 //! * retransmission detection from sequence numbers,

@@ -45,12 +45,12 @@ use dropbox::storage::ChunkStore;
 use dropbox::web::{api_session_flows, direct_link_flow, web_session_flows};
 use dropbox::{FlowSpec, FlowTruth};
 use dropbox_analysis::Dataset;
-use nettrace::{Endpoint, FlowKey, FlowRecord, Packet};
+use nettrace::{AppMarker, Endpoint, FlowKey, FlowRecord, Segment};
 use simcore::faults::{FaultPlan, FlowFaults};
 use simcore::{dist, par, Rng, ShardId, SimDuration, SimTime};
 use std::collections::BTreeMap;
 use std::ops::Range;
-use tcpmodel::{simulate_faulty, TcpParams};
+use tcpmodel::{simulate_segments, TcpParams};
 use tstat::Monitor;
 
 /// Ground-truth fault/recovery counters accumulated over a simulated
@@ -533,7 +533,9 @@ struct FlowPlayer<'a> {
     /// Dedicated stream for per-flow link-fault decisions, so fault draws
     /// never perturb the schedule/content/render streams.
     link_fault_rng: Rng,
-    scratch: Vec<Packet>,
+    /// Segment and marker buffers reused by every flow of the household.
+    segments: Vec<Segment>,
+    markers: Vec<AppMarker>,
     emit: &'a mut dyn FnMut(FlowRecord, Option<FlowTruth>),
 }
 
@@ -550,7 +552,8 @@ impl<'a> FlowPlayer<'a> {
             monitor: Monitor::new(ctx.config.expose_dns),
             port_counter: 0,
             link_fault_rng: hh_rng.fork_named("faults"),
-            scratch: Vec::new(),
+            segments: Vec::new(),
+            markers: Vec::new(),
             emit,
         }
     }
@@ -591,18 +594,21 @@ impl<'a> FlowPlayer<'a> {
         // `merged` is the spec's own profile (normally `None`).
         let link = self.ctx.faults.link_faults(&mut self.link_fault_rng);
         let merged = FlowFaults::merged(spec.faults, link);
-        self.scratch.clear();
-        simulate_faulty(
+        simulate_segments(
             at,
-            FlowKey::new(client, server),
             &spec.dialogue,
             &path,
             &tcp,
             merged.as_ref(),
             rng,
-            &mut self.scratch,
+            &mut self.segments,
+            &mut self.markers,
         );
-        if let Some(rec) = self.monitor.process_flow(&self.scratch) {
+        let key = FlowKey::new(client, server);
+        if let Some(rec) = self
+            .monitor
+            .process_segments(key, &self.segments, &self.markers)
+        {
             (self.emit)(rec, Some(spec.truth.clone()));
         }
     }
