@@ -6,7 +6,9 @@ use dropbox::content::ChunkId;
 use dropbox::storage::ChunkStore;
 use nettrace::{Endpoint, FlowKey, Ipv4};
 use simcore::{Rng, SimDuration, SimTime};
-use tcpmodel::{simulate, tls, Dialogue, Direction, Message, PathParams, TcpParams};
+use tcpmodel::{
+    simulate, simulate_segments, tls, Dialogue, Direction, Message, PathParams, TcpParams,
+};
 use tstat::Monitor;
 
 fn bench_sha256(c: &mut Harness) {
@@ -116,6 +118,29 @@ fn bench_tcp_simulate(c: &mut Harness) {
             BatchSize::SmallInput,
         )
     });
+    // The capture's form of the same run: compact segments into buffers
+    // that are reused from flow to flow.
+    let (mut segments, mut markers) = (Vec::new(), Vec::new());
+    g.bench_function("segments_store_10x100kB", |b| {
+        b.iter_batched(
+            || Rng::new(7),
+            |mut rng| {
+                let summary = simulate_segments(
+                    SimTime::from_secs(1),
+                    &d,
+                    &path(),
+                    &TcpParams::era_2012_v1(),
+                    None,
+                    &mut rng,
+                    &mut segments,
+                    &mut markers,
+                );
+                std::hint::black_box(&segments);
+                summary
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -137,6 +162,23 @@ fn bench_monitor(c: &mut Harness) {
         b.iter(|| {
             let mut m = Monitor::new(true);
             m.process_flow(std::hint::black_box(&out))
+        })
+    });
+    let (mut segments, mut markers) = (Vec::new(), Vec::new());
+    simulate_segments(
+        SimTime::from_secs(1),
+        &d,
+        &path(),
+        &TcpParams::era_2012_v1(),
+        None,
+        &mut Rng::new(7),
+        &mut segments,
+        &mut markers,
+    );
+    g.bench_function("process_segments", |b| {
+        b.iter(|| {
+            let mut m = Monitor::new(true);
+            m.process_segments(key(), std::hint::black_box(&segments), &markers)
         })
     });
     g.finish();

@@ -4,7 +4,9 @@
 //! `Monitor::process_segments` returns exactly what `process_flow` returns
 //! for them and leaves the monitor in the same state.
 
-use nettrace::{AppMarker, Endpoint, FlowKey, FlowRecord, Ipv4, MarkerRef, Segment, TcpFlags};
+use nettrace::{
+    AppMarker, Endpoint, FlowKey, FlowRecord, Ipv4, MarkerRef, Packet, Segment, TcpFlags,
+};
 use simcore::faults::FlowFaults;
 use simcore::proptest::from_fn;
 use simcore::{prop_assert_eq, proptest};
@@ -133,18 +135,27 @@ fn case(rng: &mut Rng) -> Case {
     }
 }
 
-/// `process_flow` and `process_segments` on fresh monitors with the same
-/// DNS view: each returned record, then whatever else each monitor emits
-/// at end of capture.
+/// `process_flow` and `process_segments` of connection `key` on two
+/// monitors with the same DNS view that have both observed `before`: each
+/// returned record, then whatever else each monitor emits at end of
+/// capture.
 type Outcome = (Option<FlowRecord>, Vec<FlowRecord>);
 
-fn both_monitors(segs: &[Segment], markers: &[AppMarker]) -> (Outcome, Outcome) {
-    let packets: Vec<_> = segs.iter().map(|s| s.to_packet(key(), markers)).collect();
+fn monitors_after(
+    key: FlowKey,
+    before: &[Packet],
+    segs: &[Segment],
+    markers: &[AppMarker],
+) -> (Outcome, Outcome) {
+    let packets: Vec<_> = segs.iter().map(|s| s.to_packet(key, markers)).collect();
     let run = |fold: bool| {
         let mut mon = Monitor::new(true);
-        mon.observe_dns("dl-client7.dropbox.com", key().server.ip);
+        mon.observe_dns("dl-client7.dropbox.com", key.server.ip);
+        for p in before {
+            mon.observe(p);
+        }
         let rec = if fold {
-            mon.process_segments(key(), segs, markers)
+            mon.process_segments(key, segs, markers)
         } else {
             mon.process_flow(&packets)
         };
@@ -153,6 +164,10 @@ fn both_monitors(segs: &[Segment], markers: &[AppMarker]) -> (Outcome, Outcome) 
         (rec, rest)
     };
     (run(false), run(true))
+}
+
+fn both_monitors(segs: &[Segment], markers: &[AppMarker]) -> (Outcome, Outcome) {
+    monitors_after(key(), &[], segs, markers)
 }
 
 proptest! {
@@ -213,36 +228,46 @@ fn unfoldable_shapes_fall_back_to_packet_processing() {
         seg(50, false, TcpFlags::SYN.union(ack), 0, 1, 0),
         seg(60, true, ack, 1, 1, 0),
     ];
-    let client_rst_then_server_ack = [
+    let then = |rest: &[Segment]| -> Vec<Segment> { opening.iter().chain(rest).copied().collect() };
+    let client_rst_then_server_ack = then(&[
         seg(70, true, ack, 1, 1, 1_430),
         seg(80, true, TcpFlags::RST, 1_431, 1, 0),
         seg(90, false, ack, 1, 1_431, 0),
-    ];
-    let second_syn = [
+    ]);
+    let second_syn = then(&[
         seg(70, true, data, 1, 1, 500),
         seg(90, true, TcpFlags::SYN, 0, 0, 0),
         seg(95, true, data, 1, 1, 200),
+    ]);
+    let clean = &second_syn[..4];
+    // A client port below the server's: Tstat's port heuristic orients a
+    // mid-flow first packet the other way round.
+    let low_port_client = FlowKey::new(
+        Endpoint::new(Ipv4::new(10, 0, 0, 9), 80),
+        Endpoint::new(Ipv4::new(107, 22, 0, 3), 8_080),
+    );
+    // A monitor already tracking the reversed 4-tuple (a connection the
+    // server opened) would take the new flow's server packets.
+    let reversed_open = seg(0, false, TcpFlags::SYN, 0, 0, 0).to_packet(key(), &[]);
+    let cases: [(FlowKey, &[Packet], &[Segment]); 5] = [
+        (key(), &[], &client_rst_then_server_ack),
+        (key(), &[], &second_syn),
+        // The first packet is the server's SYN.
+        (
+            key(),
+            &[],
+            &[seg(0, false, TcpFlags::SYN, 0, 0, 0), clean[2], clean[3]],
+        ),
+        // The first packet is a mid-flow client segment.
+        (low_port_client, &[], &clean[2..]),
+        (key(), &[reversed_open], clean),
     ];
-    let shapes: [Vec<Segment>; 3] = [
-        opening
-            .iter()
-            .chain(&client_rst_then_server_ack)
-            .copied()
-            .collect(),
-        opening.iter().chain(&second_syn).copied().collect(),
-        // The first packet is not the client's SYN.
-        opening[1..]
-            .iter()
-            .chain(&second_syn[..1])
-            .copied()
-            .collect(),
-    ];
-    for shape in &shapes {
-        let (by_packets, by_segments) = both_monitors(shape, &[]);
-        assert_eq!(by_segments, by_packets, "shape {shape:?}");
+    for (key, before, segs) in cases {
+        let (by_packets, by_segments) = monitors_after(key, before, segs, &[]);
+        assert_eq!(by_segments, by_packets, "{segs:?} after {before:?}");
     }
     // The reset case really is the stub-plus-stranded-record shape.
-    let ((stub, stranded), _) = both_monitors(&shapes[0], &[]);
+    let ((stub, stranded), _) = both_monitors(&client_rst_then_server_ack, &[]);
     let stub = stub.expect("trailing-ACK record");
     assert_eq!((stub.up.packets, stub.down.packets), (0, 1));
     assert_eq!(stranded.len(), 1);

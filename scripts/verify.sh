@@ -102,6 +102,11 @@ cargo run --release --offline -p experiments --bin repro -- \
     all --scale 0.1 --seed 2012 --out "$fresh_dir" > /dev/null
 diff -r -x simlint_report.json "$fresh_dir" results
 
+# Substrate micro-benchmarks (writes crates/bench/BENCH_substrate.json),
+# including the packet and segment forms of the TCP model and the monitor.
+cargo bench --offline -p bench --bench substrate
+test -s crates/bench/BENCH_substrate.json
+
 # Fault-substrate benchmark (writes crates/bench/BENCH_faults.json).
 cargo bench --offline -p bench --bench faults
 test -s crates/bench/BENCH_faults.json
