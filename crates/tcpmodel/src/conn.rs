@@ -7,10 +7,12 @@
 //! holds one clone of each marked write's DPI-visible content. The capture
 //! folds those straight into the monitor. [`simulate_faulty`] and
 //! [`simulate`] are the packet tee: the same run expanded into
-//! self-describing [`Packet`]s. The transfer engine is round-based: each RTT the
-//! sender emits up to a congestion window of segments, the receiver
-//! acknowledges (delayed ACKs), and the window evolves by slow start /
-//! congestion avoidance, with fast-retransmit and RTO recovery on loss.
+//! self-describing [`Packet`]s.
+//!
+//! The transfer engine is round-based: each RTT the sender emits up to a
+//! congestion window of segments, the receiver acknowledges (delayed
+//! ACKs), and the window evolves by slow start / congestion avoidance,
+//! with fast-retransmit and RTO recovery on loss.
 //! This is the granularity at which the paper's effects live — slow-start
 //! latency for small flows (Fig. 9's θ bound), sequential-acknowledgment
 //! stalls for many-chunk flows (Fig. 10), and retransmission counts.

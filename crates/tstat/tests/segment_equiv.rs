@@ -104,7 +104,8 @@ fn dialogue(rng: &mut Rng) -> Dialogue {
 }
 
 fn case(rng: &mut Rng) -> Case {
-    let link = AccessLink::by_name(*rng.pick(&["wired", "wifi", "lte"])).expect("known profile");
+    let name = *rng.pick(&["wired", "wifi", "lte"]);
+    let link = AccessLink::by_name(name).expect("known profile");
     let mut path = link.path(SimDuration::from_millis(rng.range_u64(1, 200)), rng);
     if rng.chance(0.3) {
         path.loss_up = rng.range_f64(0.0, 0.08);
